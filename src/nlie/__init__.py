@@ -43,11 +43,8 @@ from .free_algebra import (
 from .linalg import (
     AmbientMismatchError,
     InclusionError,
-    Matrix,
     Subspace,
     quotient_dim,
-    rank,
-    rref,
     subspace_intersect,
     subspace_member,
     subspace_sum,

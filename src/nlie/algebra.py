@@ -12,15 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from .linalg import (
     AmbientMismatchError,
     SpanBuilder,
+    SparseVector,
     Subspace,
-    Vector,
+    _axpy,
+    _sparse,
     left_kernel,
-    zero_vector,
 )
+from .trees import _permutation_sign
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -39,20 +42,7 @@ def _sorted_with_sign(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     if len(set(indices)) != len(indices):
         return 0, indices
     order = sorted(range(len(indices)), key=indices.__getitem__)
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign, tuple(indices[i] for i in order)
+    return _permutation_sign(order), tuple(indices[i] for i in order)
 
 
 class StructureAlgebra:
@@ -134,25 +124,17 @@ class StructureAlgebra:
             raise ValueError(f"bracket takes {self.n} arguments")
         supports = []
         for vec in vectors:
-            if isinstance(vec, dict):
-                support = [(i, Fraction(c)) for i, c in sorted(vec.items()) if c]
-            else:
-                support = [(i, Fraction(c)) for i, c in enumerate(vec) if c]
+            support = list(_sparse(vec).items())
             if not support:
                 return {}
             supports.append(support)
         acc: dict[int, Fraction] = {}
         for combo in product(*supports):
-            coeff = _F1
-            for _, c in combo:
-                coeff *= c
-            value = self.bracket_basis(tuple(i for i, _ in combo))
-            for j, x in value.items():
-                nv = acc.get(j, _F0) + coeff * x
-                if nv:
-                    acc[j] = nv
-                else:
-                    acc.pop(j, None)
+            indices, coeffs = zip(*combo)
+            sign, key = _sorted_with_sign(indices)
+            row = self.table.get(key) if sign else None
+            if row:
+                _axpy(acc, prod(coeffs, start=sign), row)
         return acc
 
     # -- validation ---------------------------------------------------------
@@ -164,28 +146,14 @@ class StructureAlgebra:
             inner = self.bracket_basis(a)
             for b in combinations(range(self.dim), self.n - 1):
                 checked += 1
-                lhs = self.bracket(inner, *map(self._unit, b))
-                rhs: dict[int, Fraction] = {}
+                defect = self.bracket(inner, *map(self._unit, b))
                 for i in range(self.n):
                     replaced = self.bracket_basis((a[i],) + b)
                     if not replaced:
                         continue
                     args = [self._unit(x) for x in a]
                     args[i] = replaced
-                    term = self.bracket(*args)
-                    for j, x in term.items():
-                        nv = rhs.get(j, _F0) + x
-                        if nv:
-                            rhs[j] = nv
-                        else:
-                            rhs.pop(j, None)
-                defect = dict(lhs)
-                for j, x in rhs.items():
-                    nv = defect.get(j, _F0) - x
-                    if nv:
-                        defect[j] = nv
-                    else:
-                        defect.pop(j, None)
+                    _axpy(defect, -_F1, self.bracket(*args))
                 if defect:
                     return ValidationReport(False, checked, (a, b), defect)
         return ValidationReport(True, checked, None, None)
@@ -262,7 +230,7 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
         list(combinations(space.basis, count)) for space, count in groups
     ]
     for picks in product(*choice_sets):
-        rows: list[Vector] = []
+        rows: list[SparseVector] = []
         for pick in picks:
             rows.extend(pick)
         builder.insert(parent.bracket(*rows))
@@ -312,14 +280,17 @@ def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
         zk = chain[-1].space
         if zk.dim == dim:
             break
-        rows: list[list[Fraction]] = [[] for _ in range(dim)]
-        for tup in tuples:
+        # row i holds the classes mod zk of [e_i, tup] for every tuple, one
+        # block of dim columns per tuple; x is central mod zk iff x . rows = 0
+        rows: list[SparseVector] = [{} for _ in range(dim)]
+        for t, tup in enumerate(tuples):
+            offset = t * dim
             for i in range(dim):
                 value = alg.bracket_basis((i,) + tup)
-                residue = zk.reduce(value) if value else zero_vector(dim)
-                rows[i].extend(residue)
-        width = len(rows[0]) if rows else 0
-        nxt = left_kernel([tuple(r) for r in rows], width) if dim else Subspace.zero(0)
+                if value:
+                    for j, c in zk.reduce(value).items():
+                        rows[i][offset + j] = c
+        nxt = left_kernel(rows, len(tuples) * dim)
         if nxt == zk:
             break
         chain.append(AlgebraSubspace(alg, nxt))
@@ -424,30 +395,16 @@ def quotient_algebra(
     comp = space.complement_coords()
     qdim = len(comp)
     names = tuple(alg.basis_names[j] for j in comp)
+    position = {j: pos for pos, j in enumerate(comp)}
     table: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for args in combinations(range(qdim), alg.n):
         value = alg.bracket_basis(tuple(comp[i] for i in args))
         if not value:
             continue
-        residue = space.reduce(value)
-        row = {}
-        for pos, j in enumerate(comp):
-            if residue[j]:
-                row[pos] = residue[j]
+        row = {position[j]: c for j, c in space.reduce(value).items()}
         if row:
             table[args] = row
     return StructureAlgebra(alg.n, qdim, names, table), comp
-
-
-def project_subspace(
-    ideal: AlgebraSubspace, comp: tuple[int, ...], sub: Subspace
-) -> Subspace:
-    """Image of ``sub`` in the quotient coordinates given by ``comp``."""
-    vectors = []
-    for row in sub.basis:
-        residue = ideal.space.reduce(row)
-        vectors.append(tuple(residue[j] for j in comp))
-    return Subspace.from_vectors(vectors, len(comp))
 
 
 def subalgebra_on(
@@ -466,21 +423,11 @@ def subalgebra_on(
         value = alg.bracket(*[space.basis[i] for i in args])
         if not value:
             continue
-        dense = [_F0] * alg.dim
-        for i, c in value.items():
-            dense[i] = c
-        coeffs = {}
-        for pos, p in enumerate(space.pivots):
-            if dense[p]:
-                coeffs[pos] = dense[p]
-        check = list(dense)
-        for pos, c in coeffs.items():
-            row = space.basis[pos]
-            check = [a - c * b for a, b in zip(check, row)]
-        if any(check):
+        # the echelon basis is 1 at its own pivot and 0 at the others, so a
+        # member's coordinates are its entries at the pivots
+        if space.reduce(value):
             raise ValueError("bracket value escaped the subspace")
-        if coeffs:
-            table[args] = coeffs
+        table[args] = {pos: value[p] for pos, p in enumerate(space.pivots) if p in value}
     return StructureAlgebra(alg.n, k, names, table)
 
 

@@ -107,10 +107,15 @@ def _parse_constructor(text: str, max_trees: int | None) -> StructureAlgebra | N
     return None
 
 
-def load_algebra_arg(text: str, max_trees: int | None) -> tuple[str, StructureAlgebra]:
+def load_algebra_arg(
+    text: str, max_trees: int | None, check_identity: bool = True
+) -> tuple[str, StructureAlgebra]:
     """Resolve an algebra argument: a constructor expression like
     ``heisenberg(2,1)``, ``abelian(3)``, ``free_nilpotent(2,2,3)`` or
-    ``direct_sum(...)``, or else a path to an algebra JSON file."""
+    ``direct_sum(...)``, or else a path to an algebra JSON file.
+
+    A file is also checked against the Filippov identity unless
+    ``check_identity`` is false; constructors satisfy it by construction."""
     constructed = _parse_constructor(text, max_trees)
     if constructed is not None:
         return text.strip(), constructed
@@ -126,9 +131,18 @@ def load_algebra_arg(text: str, max_trees: int | None) -> tuple[str, StructureAl
     except OSError as exc:
         raise InputError(f"{text}: {exc}") from exc
     try:
-        return os.path.basename(text), from_json_dict(obj)
+        algebra = from_json_dict(obj)
     except AlgebraFormatError as exc:
         raise InputError(f"{text}: {exc}") from exc
+    if check_identity:
+        report = algebra.validate()
+        if not report.valid:
+            a, b = ([i + 1 for i in args] for args in report.violation)
+            raise InputError(
+                f"{text}: not an n-Lie algebra: the Filippov identity fails at "
+                f"bracket_args {a}, outer_args {b}"
+            )
+    return os.path.basename(text), algebra
 
 
 # -- output -----------------------------------------------------------------------
@@ -277,7 +291,9 @@ def cmd_zcstar(args) -> int:
         "c": args.c,
         "zcstar_dim": star.dim,
         "capable_c": capable,
-        "basis": [[frac_str(x) for x in row] for row in star.space.basis],
+        "basis": [
+            [frac_str(row.get(i, 0)) for i in range(algebra.dim)] for row in star.space.basis
+        ],
     }
     _emit(payload, args.tsv)
     return 0
@@ -317,7 +333,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    label, algebra = load_algebra_arg(args.algebra, args.max_trees)
+    label, algebra = load_algebra_arg(args.algebra, args.max_trees, check_identity=False)
     report = algebra.validate()
     payload = {
         "algebra": label,

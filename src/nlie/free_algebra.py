@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
 from .algebra import StructureAlgebra
-from .linalg import SpanBuilder, Subspace, frac_str, unit_vector
+from .linalg import SpanBuilder, Subspace, frac_str
 from .trees import (
     Tree,
     canonicalize,
@@ -34,7 +36,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 DEFAULT_MAX_TREES = 200_000
-COMPONENT_FORMAT = "nlie-graded-component-v1"
+COMPONENT_FORMAT = "nlie-graded-component-v2"
 
 _component_cache_dir: str | None = None
 _TREE_CACHE: dict[tuple[int, int, int], tuple[Tree, ...]] = {}
@@ -121,18 +123,11 @@ class GradedComponent:
     relations: Subspace
     basis_indices: tuple[int, ...]
     tree_index: dict = field(compare=False, repr=False)
-    _rel_supports: tuple = field(compare=False, repr=False)
 
     @staticmethod
     def build(n: int, d: int, w: int, trees: tuple[Tree, ...], relations: Subspace) -> "GradedComponent":
-        pivot_set = set(relations.pivots)
-        basis_indices = tuple(i for i in range(len(trees)) if i not in pivot_set)
         tree_index = {t: i for i, t in enumerate(trees)}
-        supports = tuple(
-            tuple((col, val) for col, val in enumerate(row) if val)
-            for row in relations.basis
-        )
-        return GradedComponent(n, d, w, trees, relations, basis_indices, tree_index, supports)
+        return GradedComponent(n, d, w, trees, relations, relations.complement_coords(), tree_index)
 
     @property
     def dim(self) -> int:
@@ -145,17 +140,7 @@ class GradedComponent:
     def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Residue of a coordinate vector modulo the relation span; supported
         on the non-pivot (basis) coordinates."""
-        v = {i: Fraction(c) for i, c in vec.items() if c}
-        for support, p in zip(self._rel_supports, self.relations.pivots):
-            c = v.get(p)
-            if c:
-                for col, val in support:
-                    nv = v.get(col, _F0) - c * val
-                    if nv:
-                        v[col] = nv
-                    else:
-                        v.pop(col, None)
-        return v
+        return self.relations.reduce(vec)
 
     def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Coordinates of a weight-w vector over the layer basis."""
@@ -212,9 +197,9 @@ def _wrapped_relation_rows(
             continue
         payload_total = w - v + n - 2
         for payload in _weighted_tuples(pool, n - 1, payload_total):
-            for support in comp._rel_supports:
+            for relation in comp.relations.basis:
                 row: dict[int, Fraction] = {}
-                for col, val in support:
+                for col, val in relation.items():
                     sign, ct = canonicalize((comp.trees[col],) + payload)
                     if sign == 0:
                         continue
@@ -228,22 +213,25 @@ def _wrapped_relation_rows(
                     yield row
 
 
+def _relation_rows(
+    n: int, d: int, w: int, max_trees: int | None
+) -> Iterator[dict[int, Fraction]]:
+    if w < 3:
+        return
+    trees = canon_trees(n, d, w, max_trees)
+    index_of = {t: i for i, t in enumerate(trees)}
+    pool = _pool(n, d, w, max_trees)
+    yield from _identity_instance_rows(n, w, pool, index_of)
+    yield from _wrapped_relation_rows(n, d, w, pool, index_of, max_trees)
+
+
 def filippov_relations(
     n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES
 ) -> list[dict[int, Fraction]]:
     """Generating relation rows of weight w, as sparse coordinate vectors
     over ``canon_trees(n, d, w)``.  Empty for w <= 2 (no identity instance
     fits below weight 3)."""
-    if w < 3:
-        return []
-    trees = canon_trees(n, d, w, max_trees)
-    if not trees:
-        return []
-    index_of = {t: i for i, t in enumerate(trees)}
-    pool = _pool(n, d, w, max_trees)
-    rows = list(_identity_instance_rows(n, w, pool, index_of))
-    rows.extend(_wrapped_relation_rows(n, d, w, pool, index_of, max_trees))
-    return rows
+    return list(_relation_rows(n, d, w, max_trees))
 
 
 def graded_component(
@@ -259,18 +247,10 @@ def graded_component(
         _COMPONENT_CACHE[key] = loaded
         return loaded
     trees = canon_trees(n, d, w, max_trees)
-    if w >= 3 and trees:
-        builder = SpanBuilder(len(trees))
-        index_of = {t: i for i, t in enumerate(trees)}
-        pool = _pool(n, d, w, max_trees)
-        for row in _identity_instance_rows(n, w, pool, index_of):
-            builder.insert(row)
-        for row in _wrapped_relation_rows(n, d, w, pool, index_of, max_trees):
-            builder.insert(row)
-        relations = builder.subspace()
-    else:
-        relations = Subspace.zero(len(trees))
-    component = GradedComponent.build(n, d, w, trees, relations)
+    builder = SpanBuilder(len(trees))
+    for row in _relation_rows(n, d, w, max_trees):
+        builder.insert(row)
+    component = GradedComponent.build(n, d, w, trees, builder.subspace())
     _COMPONENT_CACHE[key] = component
     _store_component(component)
     return component
@@ -304,11 +284,7 @@ class FreeNilpotentAlgebra:
 
     def layer_span(self, w_min: int) -> Subspace:
         """Span of the basis vectors of weight >= w_min."""
-        rows = [
-            unit_vector(self.dim, i)
-            for i in range(self.dim)
-            if self.weights[i] >= w_min
-        ]
+        rows = [{i: _F1} for i in range(self.dim) if self.weights[i] >= w_min]
         return Subspace.from_vectors(rows, self.dim)
 
 
@@ -371,12 +347,29 @@ def component_to_json(comp: GradedComponent) -> dict:
         "w": comp.w,
         "trees": [tree_to_json(t) for t in comp.trees],
         "relation_pivots": list(comp.relations.pivots),
-        "relation_basis": [
-            [frac_str(x) for x in row] for row in comp.relations.basis
+        "relation_rows": [
+            [[col, frac_str(x)] for col, x in sorted(row.items())]
+            for row in comp.relations.basis
         ],
         "basis_indices": list(comp.basis_indices),
         "dim": comp.dim,
     }
+
+
+def _reduced_echelon(rows: list[dict], pivots: tuple[int, ...], width: int) -> bool:
+    """Whether ``rows`` is a reduced echelon basis of F^width with these
+    pivots: pivots strictly increasing, each row nonzero only from its
+    pivot on and below ``width``, 1 at its own pivot and 0 at every other
+    pivot.  :meth:`Subspace.reduce` is only correct on such rows."""
+    if len(rows) != len(pivots) or any(q <= p for p, q in zip(pivots, pivots[1:])):
+        return False
+    pivot_set = set(pivots)
+    for row, p in zip(rows, pivots):
+        if not row or min(row) != p or max(row) >= width or row[p] != 1:
+            return False
+        if not all(row.values()) or any(col in pivot_set for col in row if col != p):
+            return False
+    return True
 
 
 def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | None:
@@ -388,22 +381,20 @@ def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | 
             return None
         trees = tuple(tree_from_json(t) for t in obj["trees"])
         pivots = tuple(obj["relation_pivots"])
-        basis = tuple(
-            tuple(Fraction(x) for x in row) for row in obj["relation_basis"]
-        )
-        if len(basis) != len(pivots):
-            return None
-        if any(p2 <= p1 for p1, p2 in zip(pivots, pivots[1:])):
-            return None
-        for row, p in zip(basis, pivots):
-            if len(row) != len(trees) or row[p] != 1:
+        rows = []
+        for entries in obj["relation_rows"]:
+            row = {col: Fraction(x) for col, x in entries if isinstance(col, int)}
+            if len(row) != len(entries):
                 return None
-        relations = Subspace(len(trees), basis, pivots)
+            rows.append(row)
+        if not _reduced_echelon(rows, pivots, len(trees)):
+            return None
+        relations = Subspace(len(trees), tuple(rows), pivots)
         comp = GradedComponent.build(n, d, w, trees, relations)
         if comp.dim != obj["dim"] or list(comp.basis_indices) != obj["basis_indices"]:
             return None
         return comp
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
         return None
 
 
@@ -420,14 +411,30 @@ def _load_component(n: int, d: int, w: int) -> GradedComponent | None:
 
 
 def _store_component(comp: GradedComponent) -> None:
+    """Persist ``comp`` through a uniquely named temporary file renamed over
+    the target, so concurrent writers never interleave.  An unusable cache
+    directory is reported once on stderr and the cache is switched off."""
     path = _component_path(comp.n, comp.d, comp.w)
     if path is None:
         return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(component_to_json(comp), fh)
-    os.replace(tmp, path)
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".component-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(component_to_json(comp), fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        print(
+            f"warning: cache directory {directory!r} is unusable "
+            f"({exc.strerror or exc}); continuing without a cache",
+            file=sys.stderr,
+        )
+        set_component_cache_dir(None)
 
 
 def clear_caches() -> None:

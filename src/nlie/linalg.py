@@ -1,18 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of :class:`fractions.Fraction`.  A subspace is stored as
-its reduced row-echelon basis, which is the unique canonical representative
-of the row space, so subspace equality is plain data comparison.  All
-arithmetic is exact; nothing here ever rounds.
+Vectors are sparse ``{column: Fraction}`` dicts holding only nonzero
+entries; dense sequences are accepted as input and converted.  A subspace is
+stored as its reduced row-echelon basis, which is the unique canonical
+representative of the row space, so subspace equality is plain data
+comparison.  All arithmetic is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Union
 
 Vector = tuple[Fraction, ...]
+SparseVector = dict[int, Fraction]
 VectorLike = Union[Sequence, Mapping[int, Fraction]]
 
 _F0 = Fraction(0)
@@ -27,13 +30,6 @@ class InclusionError(ValueError):
     """A quotient was requested for subspaces that are not nested."""
 
 
-def as_vector(entries: Iterable, length: int | None = None) -> Vector:
-    vec = tuple(Fraction(x) for x in entries)
-    if length is not None and len(vec) != length:
-        raise AmbientMismatchError(f"expected vector of length {length}, got {len(vec)}")
-    return vec
-
-
 def zero_vector(length: int) -> Vector:
     return (_F0,) * length
 
@@ -42,123 +38,60 @@ def unit_vector(length: int, index: int) -> Vector:
     return tuple(_F1 if i == index else _F0 for i in range(length))
 
 
-def _sparse(vec: VectorLike) -> dict[int, Fraction]:
+def _sparse(vec: VectorLike, length: int | None = None) -> SparseVector:
+    """A fresh sparse copy of ``vec``; a dense ``vec`` must have ``length``
+    entries when that is given."""
     if isinstance(vec, Mapping):
-        return {i: Fraction(c) for i, c in vec.items() if c}
-    return {i: Fraction(c) for i, c in enumerate(vec) if c}
+        items = vec.items()
+    elif length is not None and len(vec) != length:
+        raise AmbientMismatchError(f"expected vector of length {length}, got {len(vec)}")
+    else:
+        items = enumerate(vec)
+    # Fraction(c) returns an equal Fraction for a Fraction, but slowly
+    return {i: c if type(c) is Fraction else Fraction(c) for i, c in items if c}
 
 
-class Matrix:
-    """Immutable dense matrix over the rationals."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"rows have length {width}, expected {ncols}")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vector(n, i) for i in range(n)], ncols=n)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[r][c] for r in range(self.nrows)] for c in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Matrix({[list(map(str, row)) for row in self.rows]})"
+def _axpy(v: SparseVector, c: Fraction, row: Mapping[int, Fraction]) -> None:
+    """``v += c * row`` in place, dropping entries that cancel; ``c`` and the
+    entries of ``row`` are nonzero."""
+    for col, val in row.items():
+        nv = v.get(col, _F0) + c * val
+        if nv:
+            v[col] = nv
+        else:
+            del v[col]
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row-echelon form and rank.
+def _eliminate(v: SparseVector, rows: Mapping[int, SparseVector]) -> SparseVector:
+    """Reduce ``v`` in place against reduced echelon ``rows`` (pivot -> row)
+    and return it; the remainder is zero at every pivot.
 
-    Deterministic: pivots are chosen left to right, taking the first row (in
-    current order) with a nonzero entry in the pivot column.
-    """
-    rows = [list(row) for row in m.rows]
-    nr, nc = m.nrows, m.ncols
-    r = 0
-    for c in range(nc):
-        pivot_row = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        lead = rows[r]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        r += 1
-        if r == nr:
-            break
-    return Matrix(rows, ncols=nc), r
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    Each row is 1 at its own pivot and 0 at every other row's pivot, so
+    subtracting one row leaves the other pivot entries of ``v`` alone and a
+    single pass over the pivots present in ``v`` clears them all."""
+    for p in [col for col in v if col in rows]:
+        _axpy(v, -v[p], rows[p])
+    return v
 
 
 class SpanBuilder:
     """Incremental row-space accumulator (sparse, exact).
 
-    Rows are kept in echelon form keyed by pivot column; :meth:`subspace`
-    back-substitutes to the canonical reduced echelon basis.
-    """
+    Rows are kept in reduced row-echelon form keyed by pivot column: each
+    new row is reduced against the others and then cleared out of them."""
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, SparseVector] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def residue(self, vec: VectorLike) -> dict[int, Fraction]:
+    def residue(self, vec: VectorLike) -> SparseVector:
         """Reduce ``vec`` against the accumulated rows; the remainder is
         returned as a sparse dict (empty iff ``vec`` lies in the span)."""
-        v = _sparse(vec)
-        while v:
-            p = min(v)
-            row = self._rows.get(p)
-            if row is None:
-                break
-            c = v[p]
-            for col, val in row.items():
-                nv = v.get(col, _F0) - c * val
-                if nv:
-                    v[col] = nv
-                else:
-                    v.pop(col, None)
-        return v
+        return _eliminate(_sparse(vec), self._rows)
 
     def contains(self, vec: VectorLike) -> bool:
         return not self.residue(vec)
@@ -168,47 +101,37 @@ class SpanBuilder:
         v = self.residue(vec)
         if not v:
             return False
+        if max(v) >= self.ambient:
+            raise AmbientMismatchError(f"coordinate {max(v)} outside ambient {self.ambient}")
         p = min(v)
         pv = v[p]
         if pv != 1:
             v = {col: val / pv for col, val in v.items()}
-        for col in v:
-            if col >= self.ambient:
-                raise AmbientMismatchError(f"coordinate {col} outside ambient {self.ambient}")
+        for row in [row for row in self._rows.values() if p in row]:
+            _axpy(row, -row[p], v)
         self._rows[p] = v
         return True
 
     def subspace(self) -> "Subspace":
-        pivots = sorted(self._rows)
-        rows = {p: dict(self._rows[p]) for p in pivots}
-        for p in reversed(pivots):
-            lead = rows[p]
-            for q in pivots:
-                if q >= p:
-                    break
-                target = rows[q]
-                c = target.get(p)
-                if c:
-                    for col, val in lead.items():
-                        nv = target.get(col, _F0) - c * val
-                        if nv:
-                            target[col] = nv
-                        else:
-                            target.pop(col, None)
-        basis = tuple(
-            tuple(rows[p].get(c, _F0) for c in range(self.ambient)) for p in pivots
-        )
-        return Subspace(self.ambient, basis, tuple(pivots))
+        pivots = tuple(sorted(self._rows))
+        return Subspace(self.ambient, tuple(dict(self._rows[p]) for p in pivots), pivots)
 
 
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F^ambient_dim, canonically represented by its reduced
-    row-echelon basis (one basis vector per row, pivots strictly increasing)."""
+    row-echelon basis: sparse rows with strictly increasing pivots, each row
+    1 at its own pivot and 0 at every other row's pivot."""
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    basis: tuple[SparseVector, ...]
     pivots: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", dict(zip(self.pivots, self.basis)))
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.pivots))
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[VectorLike], ambient_dim: int) -> "Subspace":
@@ -225,7 +148,7 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(
             ambient_dim,
-            tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)),
+            tuple({i: _F1} for i in range(ambient_dim)),
             tuple(range(ambient_dim)),
         )
 
@@ -233,25 +156,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.basis, ncols=self.ambient_dim)
-
-    def reduce(self, vec: VectorLike) -> Vector:
-        """Remainder of ``vec`` after elimination against the echelon basis."""
-        if isinstance(vec, Mapping):
-            v = [_F0] * self.ambient_dim
-            for i, c in vec.items():
-                v[i] = Fraction(c)
-        else:
-            v = list(as_vector(vec, self.ambient_dim))
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+    def reduce(self, vec: VectorLike) -> SparseVector:
+        """Remainder of ``vec`` after elimination against the echelon basis,
+        as a sparse dict supported off the pivots."""
+        return _eliminate(_sparse(vec, self.ambient_dim), self._rows)
 
     def contains_vector(self, vec: VectorLike) -> bool:
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -265,6 +176,24 @@ class Subspace:
         return tuple(c for c in range(self.ambient_dim) if c not in pivot_set)
 
 
+def _upper_block(vectors: Iterable[SparseVector], split: int, width: int) -> Subspace:
+    """Span ``vectors`` in F^(split + width) and keep the part of the span
+    that vanishes below ``split``, shifted down into F^width.
+
+    The reduced echelon rows with a pivot at or past ``split`` are exactly
+    those vanishing below it, and they are already the reduced echelon basis
+    of that part."""
+    builder = SpanBuilder(split + width)
+    for vec in vectors:
+        builder.insert(vec)
+    kept = [p for p in sorted(builder._rows) if p >= split]
+    return Subspace(
+        width,
+        tuple({col - split: x for col, x in builder._rows[p].items()} for p in kept),
+        tuple(p - split for p in kept),
+    )
+
+
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatchError("ambient dimensions differ")
@@ -272,26 +201,15 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis system."""
+    """Intersection by Zassenhaus elimination: the span of (x | x) for x in
+    u and (y | 0) for y in v meets 0 + F^n exactly in 0 + (u /\\ v)."""
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatchError("ambient dimensions differ")
+    n = u.ambient_dim
     if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    stacked = u.basis + v.basis
-    kernel = left_kernel(stacked, u.ambient_dim)
-    p = u.dim
-    vectors = []
-    for coeffs in kernel.basis:
-        vec = [_F0] * u.ambient_dim
-        for i in range(p):
-            c = coeffs[i]
-            if c:
-                row = u.basis[i]
-                for col in range(u.ambient_dim):
-                    if row[col]:
-                        vec[col] += c * row[col]
-        vectors.append(vec)
-    return Subspace.from_vectors(vectors, u.ambient_dim)
+        return Subspace.zero(n)
+    doubled = [{**x, **{n + col: c for col, c in x.items()}} for x in u.basis]
+    return _upper_block(doubled + list(v.basis), n, n)
 
 
 def subspace_member(u: Subspace, vec: VectorLike) -> bool:
@@ -309,41 +227,30 @@ def quotient_dim(u: Subspace, v: Subspace) -> int:
     return u.dim - v.dim
 
 
-def left_kernel(rows: Sequence[Vector], ncols: int) -> Subspace:
+def left_kernel(rows: Sequence[VectorLike], ncols: int) -> Subspace:
     """The space of row vectors x with x . M = 0, for M given by ``rows``.
 
-    The result lives in F^len(rows).
+    The result lives in F^len(rows); it is read off the augmented rows
+    (row_i | e_i) whose echelon pivot falls in the identity block.
     """
     n = len(rows)
     if n == 0:
         return Subspace.zero(0)
-    transposed = Matrix([[rows[i][c] for i in range(n)] for c in range(ncols)], ncols=n)
-    reduced, rk = rref(transposed)
-    pivot_cols: list[int] = []
-    for row in reduced.rows[:rk]:
-        pivot_cols.append(next(i for i, x in enumerate(row) if x))
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        vec = [_F0] * n
-        vec[f] = _F1
-        for r, p in enumerate(pivot_cols):
-            vec[p] = -reduced.rows[r][f]
-        vectors.append(vec)
-    return Subspace.from_vectors(vectors, n)
+    augmented = []
+    for i, row in enumerate(rows):
+        vec = _sparse(row, ncols)
+        vec[ncols + i] = _F1
+        augmented.append(vec)
+    return _upper_block(augmented, ncols, n)
 
 
-def apply_rows(vec: VectorLike, rows: Sequence[Vector], ncols: int) -> Vector:
+def apply_rows(vec: VectorLike, rows: Sequence[Mapping[int, Fraction]]) -> SparseVector:
     """Image of the row vector ``vec`` under the map sending the i-th unit
-    vector to ``rows[i]``."""
-    out = [_F0] * ncols
+    vector to the sparse vector ``rows[i]``."""
+    out: SparseVector = {}
     for i, c in _sparse(vec).items():
-        row = rows[i]
-        for col in range(ncols):
-            if row[col]:
-                out[col] += c * row[col]
-    return tuple(out)
+        _axpy(out, c, rows[i])
+    return out
 
 
 def frac_str(x: Fraction) -> str:
@@ -352,7 +259,3 @@ def frac_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text)

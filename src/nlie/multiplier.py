@@ -37,6 +37,7 @@ from .free_algebra import (
     graded_dimension,
 )
 from .linalg import (
+    SparseVector,
     Subspace,
     Vector,
     apply_rows,
@@ -61,7 +62,7 @@ class Presentation:
     nil_class: int
     free: FreeNilpotentAlgebra
     lifts: tuple[Vector, ...]
-    phi: tuple[Vector, ...]
+    phi: tuple[SparseVector, ...]
     kernel: AlgebraSubspace
 
 
@@ -101,42 +102,38 @@ def present(
     _check_homomorphism(algebra, free, phi)
     kernel = AlgebraSubspace(free.algebra, left_kernel(phi, algebra.dim))
     for i in range(free.dim):
-        if free.weights[i] > m and not kernel.space.contains_vector(unit_vector(free.dim, i)):
+        if free.weights[i] > m and not kernel.space.contains_vector({i: _F1}):
             raise AssertionError("kernel misses a layer above the nilpotency class")
     return Presentation(algebra, c, m, free, lifts, phi, kernel)
 
 
 def _evaluate_basis(
     algebra: StructureAlgebra, basis_trees: tuple[Tree, ...], lifts: tuple[Vector, ...]
-) -> tuple[Vector, ...]:
-    cache: dict[Tree, dict[int, Fraction]] = {}
+) -> tuple[SparseVector, ...]:
+    generators = [{i: c for i, c in enumerate(lift) if c} for lift in lifts]
+    cache: dict[Tree, SparseVector] = {}
 
-    def ev(tree: Tree) -> dict[int, Fraction]:
+    def ev(tree: Tree) -> SparseVector:
         if is_generator(tree):
-            return {i: c for i, c in enumerate(lifts[tree - 1]) if c}
+            return generators[tree - 1]
         got = cache.get(tree)
         if got is None:
             got = algebra.bracket(*[ev(child) for child in tree])
             cache[tree] = got
         return got
 
-    rows = []
-    for tree in basis_trees:
-        value = ev(tree)
-        rows.append(tuple(value.get(i, Fraction(0)) for i in range(algebra.dim)))
-    return tuple(rows)
+    return tuple(ev(tree) for tree in basis_trees)
 
 
 def _check_homomorphism(
-    algebra: StructureAlgebra, free: FreeNilpotentAlgebra, phi: tuple[Vector, ...]
+    algebra: StructureAlgebra, free: FreeNilpotentAlgebra, phi: tuple[SparseVector, ...]
 ) -> None:
     """Spot-check that evaluation intertwines the brackets."""
     for args in list(free.algebra.table)[:_HOM_SPOT_CHECKS]:
         image = free.algebra.table[args]
-        lhs = apply_rows(image, phi, algebra.dim)
+        lhs = apply_rows(image, phi)
         rhs = algebra.bracket(*[phi[i] for i in args])
-        dense_rhs = tuple(rhs.get(i, Fraction(0)) for i in range(algebra.dim))
-        if lhs != dense_rhs:
+        if lhs != rhs:
             raise AssertionError(f"bracket not respected on basis tuple {args}")
 
 
@@ -208,8 +205,7 @@ def _analyze(
     zq = z_term(quotient, c)
     rows = [p.phi[j] for j in comp]
     star = Subspace.from_vectors(
-        [apply_rows(z_row, rows, algebra.dim) for z_row in zq.space.basis],
-        algebra.dim,
+        [apply_rows(z_row, rows) for z_row in zq.space.basis], algebra.dim
     )
     report = MultiplierReport(
         c=c,
@@ -297,7 +293,8 @@ def random_lifts(algebra: StructureAlgebra, seed: int) -> tuple[Vector, ...]:
         for vec in gamma2.space.basis:
             f = Fraction(rng.randint(-3, 3))
             if f:
-                row = [a + f * b for a, b in zip(row, vec)]
+                for col, val in vec.items():
+                    row[col] += f * val
         rows.append(tuple(row))
     assert len(rows) == d
     return tuple(rows)

@@ -176,3 +176,56 @@ def test_max_trees_guard(capsys):
                            "--max-trees", "10")
     assert code == 2
     assert "canonical trees" in err
+
+
+def test_unusable_cache_dir_warns_and_runs_uncached(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    free_algebra.clear_caches()
+    code, plain, _ = run_cli(capsys, "graded", "-n", "2", "-d", "2", "-w", "4")
+    free_algebra.clear_caches()
+    code, out, err = run_cli(capsys, "graded", "-n", "2", "-d", "2", "-w", "4",
+                             "--cache-dir", str(blocker / "sub"))
+    assert code == 0 and out == plain
+    assert err.startswith("warning: cache directory") and err.count("\n") == 1
+
+
+def test_stale_v1_cache_entry_is_recomputed_as_v2(tmp_path, capsys):
+    free_algebra.clear_caches()
+    comp = free_algebra.graded_component(2, 3, 4)
+    old = free_algebra.component_to_json(comp)
+    del old["relation_rows"]
+    old["format"] = "nlie-graded-component-v1"
+    old["relation_basis"] = [
+        [str(row.get(c, 0)) for c in range(len(comp.trees))] for row in comp.relations.basis
+    ]
+    target = tmp_path / "component_n2_d3_w4.json"
+    target.write_text(json.dumps(old))
+    free_algebra.clear_caches()
+    code, out, _ = run_cli(capsys, "graded", "-n", "2", "-d", "3", "-w", "4",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["dim"] == comp.dim
+    assert json.loads(target.read_text())["format"] == free_algebra.COMPONENT_FORMAT
+
+
+NON_FILIPPOV = {
+    "n": 2,
+    "dim": 5,
+    "basis": ["a", "b", "c", "d", "e"],
+    "brackets": [
+        {"args": [1, 2], "value": [[1, 1, 4]]},
+        {"args": [3, 4], "value": [[1, 1, 5]]},
+    ],
+}
+
+
+def test_non_filippov_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(NON_FILIPPOV))
+    for argv in (["multiplier", str(path), "-c", "1"], ["series", str(path)],
+                 ["zcstar", str(path), "-c", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "bracket_args [1, 2], outer_args [3]" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and json.loads(out)["valid"] is False

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 from math import comb
@@ -6,9 +8,12 @@ import pytest
 from sympy import divisors, mobius
 
 from nlie.algebra import heisenberg, lower_central_series
+from nlie import free_algebra
 from nlie.free_algebra import (
     ResourceLimitError,
     canon_trees,
+    component_from_json,
+    component_to_json,
     filippov_relations,
     free_nilpotent,
     graded_component,
@@ -168,10 +173,9 @@ def test_relation_span_is_saturated(n, d, w):
         for row in lower.relations.basis[:3]:
             payload = tuple(rng.choice(payload_pool) for _ in range(n - 1))
             terms = []
-            for col, val in enumerate(row):
-                if val:
-                    wrapped = (payload[0], lower.trees[col]) + payload[1:]
-                    terms.append((val, wrapped))
+            for col, val in row.items():
+                wrapped = (payload[0], lower.trees[col]) + payload[1:]
+                terms.append((val, wrapped))
             assert reduces_to_zero(terms)
 
 
@@ -199,3 +203,53 @@ def test_component_reduce_is_stable():
         assert set(residue) <= set(component.basis_indices)
         again = component.reduce(residue)
         assert again == residue
+
+
+def test_component_json_v2_roundtrip():
+    comp = graded_component(2, 3, 4)
+    obj = json.loads(json.dumps(component_to_json(comp)))
+    assert obj["format"] == "nlie-graded-component-v2"
+    assert all(isinstance(col, int) and isinstance(x, str)
+               for row in obj["relation_rows"] for col, x in row)
+    assert component_from_json(obj, 2, 3, 4) == comp
+    assert component_from_json(obj, 2, 3, 5) is None
+
+
+def test_component_json_rejects_v1_and_non_reduced_rows():
+    comp = graded_component(2, 4, 4)
+    assert comp.relations.dim >= 2
+    obj = component_to_json(comp)
+    assert component_from_json({**obj, "format": "nlie-graded-component-v1"}, 2, 4, 4) is None
+    assert component_from_json([obj], 2, 4, 4) is None
+    # a nonzero entry at another row's pivot breaks the one-pass reduction
+    first, foreign = obj["relation_pivots"][:2]
+    tampered = json.loads(json.dumps(obj))
+    tampered["relation_rows"][0] = sorted(tampered["relation_rows"][0] + [[foreign, "1"]])
+    assert component_from_json(tampered, 2, 4, 4) is None
+    unnormalized = json.loads(json.dumps(obj))
+    unnormalized["relation_rows"][0][0] = [first, "2"]
+    assert component_from_json(unnormalized, 2, 4, 4) is None
+
+
+def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
+    comp = graded_component(2, 2, 4)
+    real_dump = json.dump
+    interleaved = []
+
+    def dump_with_a_second_writer(obj, fh):
+        # another writer stores the same entry while this one is mid-write
+        if not interleaved:
+            interleaved.append(True)
+            free_algebra._store_component(comp)
+        real_dump(obj, fh)
+
+    monkeypatch.setattr(json, "dump", dump_with_a_second_writer)
+    free_algebra.set_component_cache_dir(str(tmp_path))
+    try:
+        free_algebra._store_component(comp)
+    finally:
+        free_algebra.set_component_cache_dir(None)
+    assert interleaved
+    assert os.listdir(tmp_path) == ["component_n2_d2_w4.json"]
+    stored = json.loads((tmp_path / "component_n2_d2_w4.json").read_text())
+    assert component_from_json(stored, 2, 2, 4) == comp

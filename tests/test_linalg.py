@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from nlie.linalg import (
     AmbientMismatchError,
     InclusionError,
-    Matrix,
     Subspace,
     left_kernel,
     quotient_dim,
-    rank,
-    rref,
     subspace_intersect,
     subspace_member,
     subspace_sum,
@@ -50,18 +47,27 @@ def int_matrices(draw, max_rows=6, max_cols=6, lo=-6, hi=6):
     return [[draw(st.integers(lo, hi)) for _ in range(nc)] for _ in range(nr)]
 
 
+def _assert_reduced_echelon(space):
+    """Pivots strictly increase; each row starts at its pivot with a 1 and
+    is 0 at every other row's pivot."""
+    assert list(space.pivots) == sorted(set(space.pivots))
+    for row, p in zip(space.basis, space.pivots):
+        assert min(row) == p and row[p] == 1
+        assert all(c for c in row.values())
+        assert not any(q in row for q in space.pivots if q != p)
+
+
 def test_rref_identity():
-    m = Matrix.identity(2)
-    reduced, rk = rref(m)
-    assert reduced == m
-    assert rk == 2
+    space = Subspace.from_vectors([unit_vector(2, 0), unit_vector(2, 1)], 2)
+    assert space == Subspace.full(2)
+    assert space.dim == 2
 
 
 def test_rref_dependent_rows():
-    reduced, rk = rref(Matrix([[1, 2], [2, 4]]))
-    assert rk == 1
-    assert reduced.rows[0] == (Fraction(1), Fraction(2))
-    assert reduced.rows[1] == (Fraction(0), Fraction(0))
+    space = Subspace.from_vectors([[1, 2], [2, 4]], 2)
+    assert space.dim == 1
+    assert space.pivots == (0,)
+    assert space.basis == ({0: Fraction(1), 1: Fraction(2)},)
 
 
 def test_rref_rank_matches_fraction_free_oracle_5x5():
@@ -70,26 +76,49 @@ def test_rref_rank_matches_fraction_free_oracle_5x5():
     rng = random.Random(20240817)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
-        assert rref(Matrix(rows))[1] == bareiss_rank(rows)
+        assert Subspace.from_vectors(rows, 5).dim == bareiss_rank(rows)
 
 
 @given(int_matrices())
 def test_rref_rank_matches_fraction_free_oracle(rows):
-    assert rref(Matrix(rows))[1] == bareiss_rank(rows)
+    space = Subspace.from_vectors(rows, len(rows[0]))
+    assert space.dim == bareiss_rank(rows)
+    _assert_reduced_echelon(space)
 
 
 @given(int_matrices())
 def test_rref_idempotent(rows):
-    reduced, rk = rref(Matrix(rows))
-    again, rk2 = rref(reduced)
-    assert again == reduced
-    assert rk2 == rk
+    space = Subspace.from_vectors(rows, len(rows[0]))
+    again = Subspace.from_vectors(space.basis, space.ambient_dim)
+    assert again == space
+    assert again.dim == space.dim
 
 
 @given(int_matrices())
 def test_rank_equals_rank_of_transpose(rows):
-    m = Matrix(rows)
-    assert rank(m) == rank(m.transpose())
+    transposed = [list(col) for col in zip(*rows)]
+    assert (
+        Subspace.from_vectors(rows, len(rows[0])).dim
+        == Subspace.from_vectors(transposed, len(rows)).dim
+    )
+
+
+@given(int_matrices(), st.randoms(use_true_random=False))
+def test_subspace_is_independent_of_row_order_and_scale(rows, rng):
+    ncols = len(rows[0])
+    space = Subspace.from_vectors(rows, ncols)
+    scaled = []
+    for row in rows:
+        factor = rng.choice([-3, -1, Fraction(1, 2), 2, 7])
+        scaled.append([factor * x for x in row])
+    rng.shuffle(scaled)
+    assert Subspace.from_vectors(scaled, ncols) == space
+    probe = [rng.randint(-4, 4) for _ in range(ncols)]
+    sparse = {i: x for i, x in enumerate(probe) if x}
+    residue = space.reduce(probe)
+    assert residue == space.reduce(sparse)
+    assert not any(p in residue for p in space.pivots)
+    assert space.contains_vector(probe) == (not residue)
 
 
 def _subspace(rows, ambient):
@@ -112,6 +141,7 @@ def test_intersection_members_lie_in_both(rows_u, rows_v):
     u = _subspace([row + [0] * (ambient - len(row)) for row in rows_u], ambient)
     v = _subspace([row + [0] * (ambient - len(row)) for row in rows_v], ambient)
     inter = subspace_intersect(u, v)
+    _assert_reduced_echelon(inter)
     for row in inter.basis:
         assert subspace_member(u, row)
         assert subspace_member(v, row)
@@ -127,7 +157,7 @@ def test_sum_of_axes():
     e2 = _subspace([unit_vector(3, 1)], 3)
     s = subspace_sum(e1, e2)
     assert s.dim == 2
-    assert s.basis == (unit_vector(3, 0), unit_vector(3, 1))
+    assert s.basis == ({0: 1}, {1: 1})
 
 
 def test_intersect_trivials():
@@ -171,7 +201,7 @@ def test_left_kernel_annihilates():
     k = left_kernel(rows, 2)
     assert k.dim == 1
     for vec in k.basis:
-        combo = [sum(vec[i] * rows[i][c] for i in range(3)) for c in range(2)]
+        combo = [sum(vec.get(i, 0) * rows[i][c] for i in range(3)) for c in range(2)]
         assert not any(combo)
 
 
@@ -180,16 +210,20 @@ def test_left_kernel_rank_nullity(rows):
     vecs = [tuple(Fraction(x) for x in row) for row in rows]
     ncols = len(rows[0])
     kernel = left_kernel(vecs, ncols)
-    assert kernel.dim == len(vecs) - rank(Matrix(rows))
+    assert kernel.dim == len(vecs) - bareiss_rank(rows)
+    _assert_reduced_echelon(kernel)
     for coeffs in kernel.basis:
-        combo = [sum(coeffs[i] * vecs[i][c] for i in range(len(vecs))) for c in range(ncols)]
+        combo = [sum(coeffs.get(i, 0) * vecs[i][c] for i in range(len(vecs))) for c in range(ncols)]
         assert not any(combo)
+    sparse_rows = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    assert left_kernel(sparse_rows, ncols) == kernel
 
 
 def test_exactness_no_rounding():
-    reduced, rk = rref(Matrix([[1, 3], [1, 2]]))
-    assert rk == 2
-    assert reduced == Matrix.identity(2)
-    third = Matrix([[Fraction(1, 3), 1], [0, 1]])
-    red2, _ = rref(third)
-    assert red2.rows[0] == (Fraction(1), Fraction(0))
+    space = Subspace.from_vectors([[1, 3], [1, 2]], 2)
+    assert space.dim == 2
+    assert space == Subspace.full(2)
+    third = Subspace.from_vectors([[Fraction(1, 3), 1], [0, 1]], 2)
+    assert third.basis[0] == {0: Fraction(1)}
+    half = Subspace.from_vectors([[Fraction(1, 3), Fraction(1, 2)]], 2)
+    assert half.basis == ({0: Fraction(1), 1: Fraction(3, 2)},)

@@ -45,9 +45,7 @@ def test_present_free_quotient_is_isomorphism_below_kernel():
     # the cover restricted to weights <= 2 reproduces the algebra itself
     assert p.kernel.space == p.free.layer_span(3)
     for i in range(built.dim):
-        assert p.phi[i] == tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(built.dim)
-        )
+        assert p.phi[i] == {i: Fraction(1)}
 
 
 def test_present_rejects_non_nilpotent():
