@@ -239,6 +239,63 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
     return AlgebraSubspace(parent, builder.subspace())
 
 
+def _ad_closure(
+    alg: StructureAlgebra, start: tuple[SparseVector, ...], tuples: list[tuple[int, ...]]
+) -> Subspace:
+    """The span of the brackets [[[s, x_J1], x_J2], ...] with s in ``start``,
+    at least one x_J applied, where x_J is the basis (n-1)-tuple J from
+    ``tuples``: the smallest subspace holding every [s, x_J] and closed
+    under every ad(x_J) : y -> [y, x_J].
+
+    A worklist brackets each vector the span accepts with every x_J once
+    more, so the work is about dim(result) * len(tuples) brackets.
+
+    Lemma.  Let L be generated by the set X of basis vectors, let
+    ``tuples`` be the (n-1)-subsets of X, and let S be a subspace.
+      (i)   The closure S* of S under every ad(x_J) is an ideal of L.
+      (ii)  If U is an ideal, the closure of [U, X, ..., X] is
+            [U, L, ..., L], so ``_ad_closure(alg, U, tuples)`` is
+            [U, L, ..., L].
+      (iii) If Z is an ideal and [z, x_J] lies in Z for every J, then
+            [z, y_1, ..., y_{n-1}] lies in Z for all y in L: z is central
+            modulo Z.
+
+    Proof.  L is spanned by the bracket words in X; the degree of a word is
+    the number of letters from X in it.  Everything is multilinear, so it is
+    enough to take y_1, ..., y_{n-1} words and to induct on their total
+    degree D.  For D = n - 1 all y_i are letters, and each claim holds by
+    hypothesis.  Otherwise some y_i is not a letter; by antisymmetry take it
+    to be y_{n-1} = [z_1, ..., z_n], with words z_i of smaller degree.  As
+    ad(u, y_1, ..., y_{n-2}) is a derivation (the Filippov identity),
+
+        [u, y_1, ..., y_{n-2}, [z_1, ..., z_n]]
+            = sum_i [z_1, ..., [u, y_1, ..., y_{n-2}, z_i], ..., z_n].
+
+    In each term the inner bracket has arguments y_1, ..., y_{n-2}, z_i of
+    total degree below D, and the outer bracket applies the z_j, j != i, of
+    total degree deg(y_{n-1}) - deg(z_i) < D, to it.
+      (i)   For u in S* the inner bracket lies in S* by induction, and then
+            the outer one does too, by induction again.
+      (ii)  [U, L, ..., L] contains [U, X, ..., X], and it is an ideal: by
+            the derivation rule [[u, y], a] = [[u, a], y] + sum of
+            [u, ..., [y_i, a], ...], and [u, a] lies in U.  So it contains
+            the closure.  Conversely, for u in U the inner bracket lies in
+            [U, L, ..., L] with degree below D, so in the closure by
+            induction, and the closure is an ideal by (i).
+      (iii) The inner bracket lies in Z by induction, and Z is an ideal.
+    """
+    builder = SpanBuilder(alg.dim)
+    units = [[{j: _F1} for j in tup] for tup in tuples]
+    todo = list(start)
+    while todo:
+        vec = todo.pop()
+        for args in units:
+            value = alg.bracket(vec, *args)
+            if builder.insert(value):
+                todo.append(value)
+    return builder.subspace()
+
+
 def lower_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
     """Descending chain: the whole algebra, then iterated bracket products
     with the whole algebra, up to and including the first stable term."""
@@ -273,9 +330,19 @@ def gamma_term(alg: StructureAlgebra, k: int) -> AlgebraSubspace:
 def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
     """Ascending chain from zero, each step the full preimage of the center
     of the quotient, up to and including the first stable term."""
+    return _upper_central_series(alg, list(combinations(range(alg.dim), alg.n - 1)))
+
+
+def _upper_central_series(
+    alg: StructureAlgebra, tuples: list[tuple[int, ...]]
+) -> list[AlgebraSubspace]:
+    """The upper central series, testing centrality mod Z_j only against the
+    basis tuples in ``tuples``.  With all (n-1)-subsets of the basis this is
+    the definition; with the (n-1)-subsets of a generating set of basis
+    vectors it is the same chain, by part (iii) of the lemma in
+    :func:`_ad_closure`."""
     dim = alg.dim
     chain = [alg.zero_subspace()]
-    tuples = list(combinations(range(dim), alg.n - 1))
     while True:
         zk = chain[-1].space
         if zk.dim == dim:
@@ -391,20 +458,26 @@ def quotient_algebra(
     """
     if not is_ideal(alg, ideal):
         raise ValueError("quotient requires an ideal")
-    space = ideal.space
+    return _quotient(alg, ideal.space)
+
+
+def _quotient(
+    alg: StructureAlgebra, space: Subspace
+) -> tuple[StructureAlgebra, tuple[int, ...]]:
+    """:func:`quotient_algebra` for a ``space`` the caller knows to be an
+    ideal; nothing here checks that."""
     comp = space.complement_coords()
-    qdim = len(comp)
     names = tuple(alg.basis_names[j] for j in comp)
     position = {j: pos for pos, j in enumerate(comp)}
     table: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for args in combinations(range(qdim), alg.n):
-        value = alg.bracket_basis(tuple(comp[i] for i in args))
-        if not value:
-            continue
-        row = {position[j]: c for j, c in space.reduce(value).items()}
-        if row:
-            table[args] = row
-    return StructureAlgebra(alg.n, qdim, names, table), comp
+    # a quotient bracket of complement basis vectors is the class of their
+    # bracket in alg, which is zero unless alg's table holds the tuple
+    for args, value in alg.table.items():
+        if all(i in position for i in args):
+            row = {position[j]: c for j, c in space.reduce(value).items()}
+            if row:
+                table[tuple(position[i] for i in args)] = row
+    return StructureAlgebra(alg.n, len(comp), names, table), comp
 
 
 def subalgebra_on(

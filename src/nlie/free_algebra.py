@@ -18,7 +18,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator
 
 from .algebra import StructureAlgebra
@@ -308,10 +307,15 @@ def free_nilpotent(
         weights.extend([comp.w] * comp.dim)
     dim = len(basis_trees)
     table: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for args in combinations(range(dim), n):
+    # a bracket of weights w_1..w_n has weight sum(w_i) - n + 2, and only
+    # weights <= k survive; the basis is ordered by weight, so the
+    # admissible index tuples are enumerated under that budget directly
+    pool = list(enumerate(weights))
+    admissible = sorted(
+        args for s in range(n, k + n - 1) for args in _weighted_tuples(pool, n, s)
+    )
+    for args in admissible:
         total = sum(weights[i] for i in args) - n + 2
-        if total > k:
-            continue
         composite = tuple(basis_trees[i] for i in args)
         sign, ct = canonicalize(composite)
         if sign == 0:
@@ -380,6 +384,11 @@ def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | 
         if (obj["n"], obj["d"], obj["w"]) != (n, d, w):
             return None
         trees = tuple(tree_from_json(t) for t in obj["trees"])
+        # the tree order fixes the meaning of every column, so the list
+        # must be the canonical one; enumerating it is bounded by the
+        # entry's own length
+        if trees != canon_trees(n, d, w, max_trees=len(trees)):
+            return None
         pivots = tuple(obj["relation_pivots"])
         rows = []
         for entries in obj["relation_rows"]:
@@ -394,7 +403,9 @@ def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | 
         if comp.dim != obj["dim"] or list(comp.basis_indices) != obj["basis_indices"]:
             return None
         return comp
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+    except (
+        AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError, ResourceLimitError
+    ):
         return None
 
 

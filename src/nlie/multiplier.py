@@ -18,17 +18,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .algebra import (
     AlgebraSubspace,
     NotNilpotentError,
     StructureAlgebra,
-    bracket_product,
+    _ad_closure,
+    _quotient,
+    _upper_central_series,
     gamma_term,
     nilpotency_class,
-    quotient_algebra,
-    z_term,
 )
 from .free_algebra import (
     DEFAULT_MAX_TREES,
@@ -49,7 +50,6 @@ from .trees import Tree, is_generator
 
 _F1 = Fraction(1)
 
-_HOM_SPOT_CHECKS = 25
 _TRUNCATION_CHECK_LIMIT = 12
 
 
@@ -128,21 +128,37 @@ def _evaluate_basis(
 def _check_homomorphism(
     algebra: StructureAlgebra, free: FreeNilpotentAlgebra, phi: tuple[SparseVector, ...]
 ) -> None:
-    """Spot-check that evaluation intertwines the brackets."""
-    for args in list(free.algebra.table)[:_HOM_SPOT_CHECKS]:
-        image = free.algebra.table[args]
+    """Check that evaluation intertwines the brackets on every basis tuple
+    with a nonzero bracket in E (every entry of its table).  Tuples whose
+    E-bracket is zero are not checked: there phi of the bracket is zero, and
+    the bracket of the images in L is not evaluated."""
+    for args, image in free.algebra.table.items():
         lhs = apply_rows(image, phi)
         rhs = algebra.bracket(*[phi[i] for i in args])
         if lhs != rhs:
             raise AssertionError(f"bracket not respected on basis tuple {args}")
 
 
+def _generator_tuples(p: Presentation) -> list[tuple[int, ...]]:
+    """The (n-1)-subsets of the weight-1 basis indices 0..d-1 of E, which
+    generate E."""
+    return list(combinations(range(p.free.d), p.free.n - 1))
+
+
 def gamma_ideal_chain(p: Presentation) -> list[AlgebraSubspace]:
-    """The chain U_1 = Rbar, U_{j+1} = [U_j, E, ..., E], up to U_{c+1}."""
-    full = p.free.algebra.full_subspace()
+    """The chain U_1 = Rbar, U_{j+1} = [U_j, E, ..., E], up to U_{c+1}.
+
+    Each step is the closure of [U_j, X, ..., X] under the maps ad(x_J) for
+    the generator tuples J, which is [U_j, E, ..., E] by the lemma in
+    :func:`nlie.algebra._ad_closure` (E is generated by its weight-1 basis X
+    and every U_j is an ideal).
+    """
+    free_alg = p.free.algebra
+    tuples = _generator_tuples(p)
     chain = [p.kernel]
     for _ in range(p.c):
-        chain.append(bracket_product(chain[-1], *([full] * (p.free.n - 1))))
+        closure = _ad_closure(free_alg, chain[-1].space.basis, tuples)
+        chain.append(AlgebraSubspace(free_alg, closure))
     return chain
 
 
@@ -194,15 +210,20 @@ def _analyze(
         if cached is not None:
             return cached
     p = present(algebra, c, lifts, extra_class, max_trees)
-    free_alg = p.free.algebra
-    chain = gamma_ideal_chain(p)
-    bottom = chain[-1]
-    gamma = gamma_term(free_alg, c + 1)
-    numerator = subspace_intersect(gamma.space, p.kernel.space)
+    bottom = gamma_ideal_chain(p)[-1]
+    # E is generated in weight 1, so gamma_{c+1}(E) is the span of weights >= c+1
+    gamma = p.free.layer_span(c + 1)
+    numerator = subspace_intersect(gamma, p.kernel.space)
     if not numerator.contains_subspace(bottom.space):
         raise AssertionError("denominator escaped the numerator subspace")
-    quotient, comp = quotient_algebra(free_alg, bottom)
-    zq = z_term(quotient, c)
+    # bottom is closed under every ad(x_J), hence an ideal; it lies in
+    # Rbar, in weights >= 2, so the quotient keeps the generators as its
+    # coordinates 0..d-1 and is generated by them
+    quotient, comp = _quotient(p.free.algebra, bottom.space)
+    if comp[: p.free.d] != tuple(range(p.free.d)):
+        raise AssertionError("denominator meets the generator layer")
+    centre = _upper_central_series(quotient, _generator_tuples(p))
+    zq = centre[min(c, len(centre) - 1)]
     rows = [p.phi[j] for j in comp]
     star = Subspace.from_vectors(
         [apply_rows(z_row, rows) for z_row in zq.space.basis], algebra.dim
@@ -223,15 +244,27 @@ def _analyze(
     if lifts is None and extra_class == 0:
         # re-check the class-(m+c) truncation against a wider cover while
         # that is cheap
-        if p.free.dim <= _TRUNCATION_CHECK_LIMIT:
-            wider, _ = _analyze(algebra, c, extra_class=1, max_trees=max_trees)
-            if (wider.multiplier_dim, wider.zstar_dim) != (
-                report.multiplier_dim,
-                report.zstar_dim,
-            ):
-                raise AssertionError("truncated cover disagrees with a wider cover")
+        if p.free.dim <= _TRUNCATION_CHECK_LIMIT and not _agrees_with_wider_cover(
+            algebra, c, report, max_trees
+        ):
+            raise AssertionError("truncated cover disagrees with a wider cover")
         _ANALYSIS_CACHE[cache_key] = (report, star)
     return report, star
+
+
+def _agrees_with_wider_cover(
+    algebra: StructureAlgebra,
+    c: int,
+    report: MultiplierReport,
+    max_trees: int | None = DEFAULT_MAX_TREES,
+) -> bool:
+    """Whether the cover one class wider gives the same multiplier and star
+    centre dimensions as ``report``."""
+    wider, _ = _analyze(algebra, c, extra_class=1, max_trees=max_trees)
+    return (wider.multiplier_dim, wider.zstar_dim) == (
+        report.multiplier_dim,
+        report.zstar_dim,
+    )
 
 
 def multiplier_report(
@@ -303,12 +336,7 @@ def random_lifts(algebra: StructureAlgebra, seed: int) -> tuple[Vector, ...]:
 def truncation_consistent(algebra: StructureAlgebra, c: int) -> bool:
     """Spot-check that enlarging the presentation class by one does not
     change the reported dimensions."""
-    base, _ = _analyze(algebra, c)
-    wider, _ = _analyze(algebra, c, extra_class=1)
-    return (
-        base.multiplier_dim == wider.multiplier_dim
-        and base.zstar_dim == wider.zstar_dim
-    )
+    return _agrees_with_wider_cover(algebra, c, _analyze(algebra, c)[0])
 
 
 def clear_cache() -> None:

@@ -2,6 +2,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -92,6 +93,27 @@ def test_free_nilpotent_smallest_is_heisenberg():
 def test_free_nilpotent_dims():
     assert free_nilpotent(2, 2, 4).dim == 2 + 1 + 2 + 3
     assert free_nilpotent(3, 3, 2).dim == 3 + 1
+
+
+@pytest.mark.parametrize("n,d,k", [(2, 2, 4), (3, 3, 3), (2, 4, 4)])
+def test_free_nilpotent_table_matches_exhaustive_loop(n, d, k):
+    """The weight-budgeted tuple enumeration gives the same table, in the
+    same order, as bracketing every C(dim, n) basis tuple."""
+    built = free_nilpotent(n, d, k)
+    want = {}
+    for args in combinations(range(built.dim), n):
+        total = sum(built.weights[i] for i in args) - n + 2
+        if total > k:
+            continue
+        sign, ct = canonicalize(tuple(built.basis_trees[i] for i in args))
+        if sign == 0:
+            continue
+        comp = built.components[total - 1]
+        coords = comp.coordinates({comp.tree_index[ct]: Fraction(sign)})
+        if coords:
+            off = built.layer_offsets[total - 1]
+            want[args] = {off + pos: c for pos, c in coords.items()}
+    assert list(built.algebra.table.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("n,d,k", [(2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 3, 2), (3, 3, 3)])
@@ -229,6 +251,19 @@ def test_component_json_rejects_v1_and_non_reduced_rows():
     unnormalized = json.loads(json.dumps(obj))
     unnormalized["relation_rows"][0][0] = [first, "2"]
     assert component_from_json(unnormalized, 2, 4, 4) is None
+
+
+def test_component_json_rejects_swapped_trees():
+    comp = graded_component(2, 2, 4)
+    obj = json.loads(json.dumps(component_to_json(comp)))
+    assert component_from_json(obj, 2, 2, 4) == comp
+    swapped = json.loads(json.dumps(obj))
+    swapped["trees"][0], swapped["trees"][1] = swapped["trees"][1], swapped["trees"][0]
+    assert component_from_json(swapped, 2, 2, 4) is None
+    # a short list is rejected; the canonical enumeration stops at its length
+    free_algebra.clear_caches()
+    truncated = {**obj, "trees": obj["trees"][:-1]}
+    assert component_from_json(truncated, 2, 2, 4) is None
 
 
 def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):

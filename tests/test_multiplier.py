@@ -1,18 +1,25 @@
-import os
+from itertools import combinations
 
 import pytest
 
 from nlie.algebra import (
     NotNilpotentError,
     StructureAlgebra,
+    _upper_central_series,
     abelian,
+    bracket_product,
     direct_sum,
     gamma_term,
     heisenberg,
+    is_ideal,
+    quotient_algebra,
+    upper_central_series,
     z_term,
 )
+from nlie.bounds import catalog_algebras
 from nlie.free_algebra import free_nilpotent, graded_dimension
 from nlie.multiplier import (
+    _check_homomorphism,
     gamma_ideal_chain,
     heisenberg_multiplier_dim,
     is_capable,
@@ -151,13 +158,69 @@ def test_quaternary_heisenberg_multiplier():
     assert heisenberg_multiplier_dim(4, 1, 1) == 4
 
 
-@pytest.mark.skipif(
-    not os.environ.get("NLIE_SLOW_TESTS"),
-    reason="set NLIE_SLOW_TESTS=1 to run (about a minute)",
-)
 def test_heisenberg_c3_multiplier_closed_form():
     got = multiplier_report(heisenberg(2, 2), 3).multiplier_dim
     assert got == heisenberg_multiplier_dim(2, 2, 3) == 60
+
+
+@pytest.mark.parametrize("n,m,c,want", [(3, 2, 1, 19), (2, 2, 4, 204)])
+def test_large_heisenberg_multipliers_closed_form(n, m, c, want):
+    got = multiplier_report(heisenberg(n, m), c).multiplier_dim
+    assert got == heisenberg_multiplier_dim(n, m, c) == want
+
+
+def _cross_check_generator_routes(alg, c, lifts=None):
+    """Each generator-tuple shortcut of the engine against the exhaustive
+    route it replaces."""
+    p = present(alg, c, lifts)
+    free_alg = p.free.algebra
+    full = free_alg.full_subspace()
+    chain = gamma_ideal_chain(p)
+    exhaustive = [p.kernel]
+    for _ in range(c):
+        exhaustive.append(bracket_product(exhaustive[-1], *([full] * (free_alg.n - 1))))
+    assert [u.space for u in chain] == [u.space for u in exhaustive]
+    assert p.free.layer_span(c + 1) == gamma_term(free_alg, c + 1).space
+    assert is_ideal(free_alg, chain[-1])
+    quotient, _ = quotient_algebra(free_alg, chain[-1])
+    tuples = list(combinations(range(p.free.d), free_alg.n - 1))
+    assert [z.space for z in _upper_central_series(quotient, tuples)] == [
+        z.space for z in upper_central_series(quotient)
+    ]
+
+
+CATALOG = catalog_algebras()
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("alg", [alg for _, alg in CATALOG], ids=[label for label, _ in CATALOG])
+def test_generator_routes_match_exhaustive_on_catalog(alg, c):
+    _cross_check_generator_routes(alg, c)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+@pytest.mark.parametrize("n,m,c", [(2, 2, 2), (2, 3, 1)])
+def test_generator_routes_match_exhaustive_under_lifts(n, m, c, seed):
+    alg = heisenberg(n, m)
+    _cross_check_generator_routes(alg, c, random_lifts(alg, seed))
+
+
+def test_homomorphism_check_covers_every_table_entry():
+    p = present(heisenberg(2, 2), 2)
+    table = p.free.algebra.table
+    assert len(table) == 125
+    # a basis vector reached only by late table entries: corrupting its
+    # image breaks the bracket there and nowhere among the first entries
+    early = set()
+    for args in list(table)[:25]:
+        early.update(args)
+        early.update(table[args])
+    late = sorted(set().union(*table.values()) - early)
+    assert late
+    phi = list(p.phi)
+    phi[late[0]] = {**phi[late[0]], 0: phi[late[0]].get(0, 0) + Fraction(1)}
+    with pytest.raises(AssertionError, match="bracket not respected"):
+        _check_homomorphism(p.algebra, p.free, tuple(phi))
 
 
 def test_free_quotients_are_capable():
