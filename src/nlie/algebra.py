@@ -10,6 +10,7 @@ by :meth:`StructureAlgebra.validate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -172,6 +173,26 @@ class StructureAlgebra:
     def full_subspace(self) -> "AlgebraSubspace":
         return AlgebraSubspace(self, Subspace.full(self.dim))
 
+    # -- central series -----------------------------------------------------
+    # Each is computed at most once per instance: the algebra hashes by
+    # content, so it is never mutated after construction.
+
+    @cached_property
+    def _lower_series(self) -> tuple["AlgebraSubspace", ...]:
+        full = self.full_subspace()
+        chain = [full]
+        while True:
+            current = chain[-1]
+            nxt = bracket_product(current, *([full] * (self.n - 1)))
+            if nxt.space == current.space:
+                return tuple(chain)
+            chain.append(nxt)
+
+    @cached_property
+    def _upper_series(self) -> tuple["AlgebraSubspace", ...]:
+        tuples = list(combinations(range(self.dim), self.n - 1))
+        return tuple(_upper_central_series(self, tuples))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -299,20 +320,12 @@ def _ad_closure(
 def lower_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
     """Descending chain: the whole algebra, then iterated bracket products
     with the whole algebra, up to and including the first stable term."""
-    full = alg.full_subspace()
-    chain = [full]
-    while True:
-        current = chain[-1]
-        nxt = bracket_product(current, *([full] * (alg.n - 1)))
-        if nxt.space == current.space:
-            break
-        chain.append(nxt)
-    return chain
+    return list(alg._lower_series)
 
 
 def nilpotency_class(alg: StructureAlgebra) -> int | None:
     """Nilpotency class, or None when the lower series stabilizes above zero."""
-    chain = lower_central_series(alg)
+    chain = alg._lower_series
     if chain[-1].dim != 0:
         return None
     return len(chain) - 1
@@ -323,14 +336,14 @@ def gamma_term(alg: StructureAlgebra, k: int) -> AlgebraSubspace:
     extended indefinitely."""
     if k < 1:
         raise ValueError("lower central series starts at index 1")
-    chain = lower_central_series(alg)
+    chain = alg._lower_series
     return chain[min(k - 1, len(chain) - 1)]
 
 
 def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
     """Ascending chain from zero, each step the full preimage of the center
     of the quotient, up to and including the first stable term."""
-    return _upper_central_series(alg, list(combinations(range(alg.dim), alg.n - 1)))
+    return list(alg._upper_series)
 
 
 def _upper_central_series(
@@ -368,13 +381,13 @@ def z_term(alg: StructureAlgebra, c: int) -> AlgebraSubspace:
     """c-th term of the upper central series (c >= 0), stable tail extended."""
     if c < 0:
         raise ValueError("upper central series starts at index 0")
-    chain = upper_central_series(alg)
+    chain = alg._upper_series
     return chain[min(c, len(chain) - 1)]
 
 
 def minimal_generators(alg: StructureAlgebra) -> int:
     """Minimal number of generators of a nilpotent algebra."""
-    chain = lower_central_series(alg)
+    chain = alg._lower_series
     if chain[-1].dim != 0:
         raise NotNilpotentError("minimal generator count requires a nilpotent algebra")
     gamma2 = chain[1] if len(chain) > 1 else chain[0]

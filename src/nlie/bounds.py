@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraSubspace,
     StructureAlgebra,
+    _quotient,
     abelian,
     direct_sum,
     gamma_term,
@@ -21,7 +22,6 @@ from .algebra import (
     is_ideal,
     minimal_generators,
     nilpotency_class,
-    quotient_algebra,
     subalgebra_on,
     upper_central_series,
     z_term,
@@ -77,12 +77,46 @@ def _inapplicable(name, descriptor, reason) -> BoundCheck:
 
 
 def _count(variant: str, d: int, n: int, w: int) -> int | None:
+    """The weight-w count on d generators: the rank oracle's layer dimension,
+    or the closed-form count (None outside its domain).  Below one generator
+    the oracle count is 0 and the formula has none."""
+    if d < 1:
+        return 0 if variant == "oracle" else None
     if variant == "oracle":
         return graded_dimension(n, d, w)
     try:
         return convention_count(d, n, w)
     except CountDomainError:
         return None
+
+
+def _bound_rows(
+    name: str, descriptor: str, value: int, n: int, d: int, weights, extra: int = 0,
+    flags: tuple[str, ...] = (), count_is_lhs: bool = False,
+) -> list[BoundCheck]:
+    """One row per variant for ``value <= sum_w count(d, w) + extra``, or for
+    ``sum_w count(d, w) <= value`` when ``count_is_lhs``.  A count outside
+    the formula's domain leaves that side None, flagged
+    ``formula-domain-error``."""
+    rows = []
+    for variant in VARIANTS:
+        terms = [_count(variant, d, n, w) for w in weights]
+        if None in terms:
+            bound, row_flags = None, ("formula-domain-error",)
+        else:
+            bound, row_flags = sum(terms) + extra, flags
+        sides = (bound, value) if count_is_lhs else (value, bound)
+        rows.append(_row(name, descriptor, variant, *sides, row_flags))
+    return rows
+
+
+def _gamma_sum(algebra: StructureAlgebra, c: int, d: int) -> int:
+    """sum_{i=1..c} dim gamma_{i+1}(L) * d^(c(n-1)-i+1); every exponent is
+    at least 1, as n >= 2 and i <= c."""
+    n = algebra.n
+    return sum(
+        gamma_term(algebra, i + 1).dim * d ** (c * (n - 1) - i + 1) for i in range(1, c + 1)
+    )
 
 
 def check_quotient_bound(
@@ -92,7 +126,7 @@ def check_quotient_bound(
     if not is_ideal(algebra, ideal):
         raise ValueError("quotient bound requires an ideal")
     rep = multiplier_report(algebra, c)
-    quotient, _ = quotient_algebra(algebra, ideal)
+    quotient, _ = _quotient(algebra, ideal.space)
     rep_q = multiplier_report(quotient, c)
     cap = subspace_intersect(gamma_term(algebra, c + 1).space, ideal.space).dim
     return _row("quotient", descriptor, "oracle", rep_q.multiplier_dim, rep.multiplier_dim + cap)
@@ -115,7 +149,7 @@ def check_central_tensor_bound(
     rep = multiplier_report(algebra, c)
     cap = subspace_intersect(gamma_term(algebra, c + 1).space, ideal.space).dim
     lhs = rep.multiplier_dim + cap
-    quotient, _ = quotient_algebra(algebra, ideal)
+    quotient, _ = _quotient(algebra, ideal.space)
     rep_q = multiplier_report(quotient, c)
     sub = subalgebra_on(algebra, ideal)
     rep_m = multiplier_report(sub, c)
@@ -135,25 +169,9 @@ def check_generator_bounds(
     rep = multiplier_report(algebra, c)
     d = minimal_generators(algebra)
     mid = rep.multiplier_dim + gamma_term(algebra, c + 1).dim
-    flags: list[str] = []
-    extra = 0
-    for i in range(1, c + 1):
-        a_i = gamma_term(algebra, i + 1).dim
-        exponent = c * (n - 1) - i + 1
-        if exponent < 0:
-            exponent = 0
-            flags.append("negative-exponent-clamped")
-        extra += a_i * d**exponent
-    rows = []
-    for variant in VARIANTS:
-        base = _count(variant, d, n, c + 1) if d >= 1 else (0 if variant == "oracle" else None)
-        if base is None:
-            rows.append(_row("generator-lower", descriptor, variant, None, mid, ("formula-domain-error",)))
-            rows.append(_row("generator-upper", descriptor, variant, mid, None, ("formula-domain-error",)))
-            continue
-        rows.append(_row("generator-lower", descriptor, variant, base, mid, tuple(flags)))
-        rows.append(_row("generator-upper", descriptor, variant, mid, base + extra, tuple(flags)))
-    return rows
+    return _bound_rows(
+        "generator-lower", descriptor, mid, n, d, [c + 1], count_is_lhs=True
+    ) + _bound_rows("generator-upper", descriptor, mid, n, d, [c + 1], _gamma_sum(algebra, c, d))
 
 
 def check_class_bounds(
@@ -162,23 +180,14 @@ def check_class_bounds(
     """Class-m branch bounds on dim M^(c)(L): sum_{k=0..c} count(m+k) when
     m <= c, and sum_{k=1..m} count(c+k) when m >= c+1.  The generator count
     of L is used for d."""
-    n = algebra.n
     rep = multiplier_report(algebra, c)
     m = rep.nil_class
     if m < 1:
         return [_inapplicable("class", descriptor, "zero-dimensional")]
     d = minimal_generators(algebra)
-    weights = list(range(m, m + c + 1)) if m <= c else list(range(c + 1, c + m + 1))
-    rows = []
-    for variant in VARIANTS:
-        terms = [_count(variant, d, n, w) for w in weights]
-        if any(t is None for t in terms):
-            rows.append(_row("class", descriptor, variant, rep.multiplier_dim, None,
-                             ("formula-domain-error",)))
-            continue
-        rows.append(_row("class", descriptor, variant, rep.multiplier_dim, sum(terms),
-                         ("d-read-as-generator-count",)))
-    return rows
+    weights = range(m, m + c + 1) if m <= c else range(c + 1, c + m + 1)
+    return _bound_rows("class", descriptor, rep.multiplier_dim, algebra.n, d, weights,
+                       flags=("d-read-as-generator-count",))
 
 
 def check_hypercenter_bound(
@@ -189,56 +198,24 @@ def check_hypercenter_bound(
     n = algebra.n
     gdim = gamma_term(algebra, c + 1).dim
     zc = z_term(algebra, c)
-    d0 = algebra.dim - zc.dim
-    rows = []
-    for variant in VARIANTS:
-        base = _count(variant, d0, n, c + 1) if d0 >= 1 else (0 if variant == "oracle" else None)
-        if base is None:
-            rows.append(_row("hypercenter", descriptor, variant, gdim, None, ("formula-domain-error",)))
-        else:
-            rows.append(_row("hypercenter", descriptor, variant, gdim, base))
-    quotient, _ = quotient_algebra(algebra, zc)
+    rows = _bound_rows("hypercenter", descriptor, gdim, n, algebra.dim - zc.dim, [c + 1])
+    quotient, _ = _quotient(algebra, zc.space)
     if nilpotency_class(quotient) is None:
         rows.append(_inapplicable("hypercenter-corollary", descriptor, "quotient-not-nilpotent"))
         return rows
     dq = minimal_generators(quotient)
-    extra = 0
-    flags: list[str] = ["corollary-form"]
-    for i in range(1, c + 1):
-        a_i = gamma_term(quotient, i + 1).dim
-        exponent = c * (n - 1) - i + 1
-        if exponent < 0:
-            exponent = 0
-            flags.append("negative-exponent-clamped")
-        extra += a_i * dq**exponent
-    for variant in VARIANTS:
-        base = _count(variant, dq, n, c + 1) if dq >= 1 else (0 if variant == "oracle" else None)
-        if base is None:
-            rows.append(_row("hypercenter-corollary", descriptor, variant, gdim, None,
-                             ("formula-domain-error",)))
-        else:
-            rows.append(_row("hypercenter-corollary", descriptor, variant, gdim, base + extra,
-                             tuple(flags)))
-    return rows
+    return rows + _bound_rows("hypercenter-corollary", descriptor, gdim, n, dq, [c + 1],
+                              _gamma_sum(quotient, c, dq), ("corollary-form",))
 
 
 def check_dim_cap_bound(
     algebra: StructureAlgebra, c: int, descriptor: str
 ) -> list[BoundCheck]:
     """dim M^(c)(L) + dim gamma_{c+1}(L) <= count(dim L, c+1)."""
-    n = algebra.n
     rep = multiplier_report(algebra, c)
     lhs = rep.multiplier_dim + gamma_term(algebra, c + 1).dim
-    rows = []
-    for variant in VARIANTS:
-        base = _count(variant, algebra.dim, n, c + 1) if algebra.dim >= 1 else (
-            0 if variant == "oracle" else None
-        )
-        if base is None:
-            rows.append(_row("dim-cap", descriptor, variant, lhs, None, ("formula-domain-error",)))
-        else:
-            rows.append(_row("dim-cap", descriptor, variant, lhs, base, ("d-read-as-dim",)))
-    return rows
+    return _bound_rows("dim-cap", descriptor, lhs, algebra.n, algebra.dim, [c + 1],
+                       flags=("d-read-as-dim",))
 
 
 def _is_maximal_class(algebra: StructureAlgebra, c: int) -> bool:
@@ -266,16 +243,8 @@ def check_maximal_class_bound(
     if not _is_maximal_class(algebra, c):
         return [_inapplicable("maximal-class", descriptor, "not-of-maximal-class")]
     rep = multiplier_report(algebra, c)
-    rows = []
-    for variant in VARIANTS:
-        base = _count(variant, algebra.dim - 1, n, c + 1)
-        if base is None:
-            rows.append(_row("maximal-class", descriptor, variant, rep.multiplier_dim, None,
-                             ("formula-domain-error",)))
-        else:
-            rows.append(_row("maximal-class", descriptor, variant, rep.multiplier_dim,
-                             base + n ** (c * (n - 1))))
-    return rows
+    return _bound_rows("maximal-class", descriptor, rep.multiplier_dim, n, algebra.dim - 1,
+                       [c + 1], n ** (c * (n - 1)))
 
 
 # -- catalog -------------------------------------------------------------------

@@ -17,7 +17,6 @@ import sys
 
 from .algebra import (
     AlgebraFormatError,
-    NotNilpotentError,
     StructureAlgebra,
     abelian,
     direct_sum,
@@ -29,7 +28,7 @@ from .algebra import (
     upper_central_series,
 )
 from .bounds import run_catalog, violations
-from .counting import CountDomainError, GridLimitError, compare_table, convention_count
+from .counting import GridLimitError, compare_table, convention_count
 from .free_algebra import (
     DEFAULT_MAX_TREES,
     ResourceLimitError,
@@ -82,28 +81,25 @@ def _parse_constructor(text: str, max_trees: int | None) -> StructureAlgebra | N
             raise InputError(f"{name} expects {expected} integer arguments, got {raw_args}")
         return [int(a) for a in raw_args]
 
-    try:
-        if name in ("heisenberg", "h"):
-            n, m = ints(2)
-            return heisenberg(n, m)
-        if name in ("abelian", "a"):
-            if len(raw_args) == 1:
-                return abelian(ints(1)[0], 2)
-            d, n = ints(2)
-            return abelian(d, n)
-        if name in ("free_nilpotent", "f"):
-            n, d, k = ints(3)
-            return free_nilpotent(n, d, k, max_trees).algebra
-        if name in ("direct_sum", "sum"):
-            if len(raw_args) != 2:
-                raise InputError(f"{name} expects two algebra arguments")
-            left = _parse_constructor(raw_args[0], max_trees)
-            right = _parse_constructor(raw_args[1], max_trees)
-            if left is None or right is None:
-                raise InputError(f"{name} arguments must be constructor expressions")
-            return direct_sum(left, right)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if name in ("heisenberg", "h"):
+        n, m = ints(2)
+        return heisenberg(n, m)
+    if name in ("abelian", "a"):
+        if len(raw_args) == 1:
+            return abelian(ints(1)[0], 2)
+        d, n = ints(2)
+        return abelian(d, n)
+    if name in ("free_nilpotent", "f"):
+        n, d, k = ints(3)
+        return free_nilpotent(n, d, k, max_trees).algebra
+    if name in ("direct_sum", "sum"):
+        if len(raw_args) != 2:
+            raise InputError(f"{name} expects two algebra arguments")
+        left = _parse_constructor(raw_args[0], max_trees)
+        right = _parse_constructor(raw_args[1], max_trees)
+        if left is None or right is None:
+            raise InputError(f"{name} arguments must be constructor expressions")
+        return direct_sum(left, right)
     return None
 
 
@@ -183,29 +179,23 @@ def cmd_count(args) -> int:
     if args.d < 1:
         raise InputError("need d >= 1")
     payload = {}
-    try:
-        if args.mode in ("formula", "both"):
-            payload["formula"] = convention_count(args.d, args.n, args.w)
-        if args.mode in ("oracle", "both"):
-            payload["oracle"] = graded_dimension(args.n, args.d, args.w, args.max_trees)
-        if args.mode == "both":
-            payload["agree"] = payload["formula"] == payload["oracle"]
-    except CountDomainError as exc:
-        raise InputError(str(exc)) from exc
+    if args.mode in ("formula", "both"):
+        payload["formula"] = convention_count(args.d, args.n, args.w)
+    if args.mode in ("oracle", "both"):
+        payload["oracle"] = graded_dimension(args.n, args.d, args.w, args.max_trees)
+    if args.mode == "both":
+        payload["agree"] = payload["formula"] == payload["oracle"]
     _emit(payload, args.tsv)
     return 0
 
 
 def cmd_table(args) -> int:
-    try:
-        rows = compare_table(
-            args.n,
-            range(1, args.d_max + 1),
-            range(1, args.w_max + 1),
-            max_trees=args.max_trees,
-        )
-    except GridLimitError as exc:
-        raise InputError(str(exc)) from exc
+    rows = compare_table(
+        args.n,
+        range(1, args.d_max + 1),
+        range(1, args.w_max + 1),
+        max_trees=args.max_trees,
+    )
     _emit([row.to_dict() for row in rows], args.tsv)
     return 0
 
@@ -270,10 +260,7 @@ def cmd_series(args) -> int:
 
 def cmd_multiplier(args) -> int:
     label, algebra = load_algebra_arg(args.algebra, args.max_trees)
-    try:
-        report = multiplier_report(algebra, args.c, max_trees=args.max_trees)
-    except NotNilpotentError as exc:
-        raise InputError(str(exc)) from exc
+    report = multiplier_report(algebra, args.c, max_trees=args.max_trees)
     payload = {"algebra": label}
     payload.update(report.to_dict())
     _emit(payload, args.tsv)
@@ -282,10 +269,7 @@ def cmd_multiplier(args) -> int:
 
 def cmd_zcstar(args) -> int:
     label, algebra = load_algebra_arg(args.algebra, args.max_trees)
-    try:
-        star, capable = z_star(algebra, args.c)
-    except NotNilpotentError as exc:
-        raise InputError(str(exc)) from exc
+    star, capable = z_star(algebra, args.c)
     payload = {
         "algebra": label,
         "c": args.c,
@@ -510,10 +494,7 @@ def main(argv=None) -> int:
     set_component_cache_dir(cache_dir or None)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AlgebraFormatError, ResourceLimitError, NotNilpotentError, ValueError) as exc:
+    except (ValueError, ResourceLimitError, GridLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -18,7 +18,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .algebra import StructureAlgebra
 from .linalg import SpanBuilder, Subspace, frac_str
@@ -149,7 +149,7 @@ class GradedComponent:
 
 
 def _expand_terms(
-    terms: list[tuple[int, Tree]], index_of: dict
+    terms: Iterable[tuple[int | Fraction, Tree]], index_of: dict
 ) -> dict[int, Fraction]:
     row: dict[int, Fraction] = {}
     for coeff, tree in terms:
@@ -197,17 +197,8 @@ def _wrapped_relation_rows(
         payload_total = w - v + n - 2
         for payload in _weighted_tuples(pool, n - 1, payload_total):
             for relation in comp.relations.basis:
-                row: dict[int, Fraction] = {}
-                for col, val in relation.items():
-                    sign, ct = canonicalize((comp.trees[col],) + payload)
-                    if sign == 0:
-                        continue
-                    j = index_of[ct]
-                    nv = row.get(j, _F0) + val * sign
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
+                terms = ((val, (comp.trees[col],) + payload) for col, val in relation.items())
+                row = _expand_terms(terms, index_of)
                 if row:
                     yield row
 

@@ -93,9 +93,6 @@ class SpanBuilder:
         returned as a sparse dict (empty iff ``vec`` lies in the span)."""
         return _eliminate(_sparse(vec), self._rows)
 
-    def contains(self, vec: VectorLike) -> bool:
-        return not self.residue(vec)
-
     def insert(self, vec: VectorLike) -> bool:
         """Add ``vec`` to the span; True iff the dimension grew."""
         v = self.residue(vec)

@@ -6,6 +6,7 @@ fixture, an independently computable count (Witt/necklace numbers,
 binomials), or a classical dimension the engine must reproduce.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from sympy import divisors, mobius
 
 from nlie.algebra import abelian, gamma_term, heisenberg, quotient_algebra, z_term
 from nlie.bounds import run_catalog, violations
+from nlie.cli import main
 from nlie.counting import compare_table, formula_count
 from nlie.free_algebra import graded_dimension
 from nlie.linalg import subspace_intersect
@@ -161,3 +163,24 @@ def test_criterion_9_determinism():
         run_b = subprocess.run(argv, capture_output=True, check=True)
         ok = ok and run_a.stdout and run_a.stdout == run_b.stdout
     _criterion(9, bool(ok), "repeated full runs produce byte-identical reports")
+
+
+# sha256 of `nlie bounds --c-max C` stdout (JSON, then --tsv): a change to
+# the checkers must leave the report byte-identical.
+BOUNDS_SHA256 = {
+    1: ("2e35f59c9549b71aaaf06225cc98171bbc97b2ef1797adc04c7f130c7b47d21b",
+        "5e3526bd3db36ec9a53a5b7d89bf5d595c9fb24f388c8293afb274209de1bb11"),
+    2: ("c8e11a448de22e21d83cd37be5a43f25284835d903b08e1d23b4129b1d795280",
+        "66ec230b1bed97b56fd707ec0b40b1f4fe08ad9c3caaf27f4ad2c6daae140328"),
+    3: ("e96cc304c0efe38dbbb8ddc03f40d60754896d2671d878a2c626e89b7812b292",
+        "b63165061874224e5d21b21c5f5123794252b87adb5fad48cbbc9facc1529b54"),
+}
+
+
+def test_bounds_output_is_pinned(capsys):
+    for c_max, pinned in BOUNDS_SHA256.items():
+        got = []
+        for extra in ([], ["--tsv"]):
+            assert main(["bounds", "--c-max", str(c_max)] + extra) == 0
+            got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert tuple(got) == pinned, c_max

@@ -129,6 +129,43 @@ def test_class_agrees_between_series():
         assert len(chain) - 1 == s
 
 
+def _series_readings(alg):
+    return (
+        [gamma_term(alg, k).space for k in range(1, 6)],
+        [z_term(alg, k).space for k in range(0, 5)],
+        nilpotency_class(alg),
+        minimal_generators(alg),
+        [s.space for s in lower_central_series(alg)],
+        [s.space for s in upper_central_series(alg)],
+    )
+
+
+def test_central_series_computed_once_per_instance(monkeypatch):
+    from nlie import algebra as algebra_module
+
+    built = free_nilpotent(2, 2, 3).algebra
+    alg = StructureAlgebra(built.n, built.dim, built.basis_names, built.table)
+    calls = {"bracket_product": 0, "_upper_central_series": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(algebra_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(algebra_module, name, counted)
+
+    first = _series_readings(alg)
+    # one bracket product per lower term, the stable one included
+    assert calls == {"bracket_product": 4, "_upper_central_series": 1}
+    assert _series_readings(alg) == first
+    assert calls == {"bracket_product": 4, "_upper_central_series": 1}
+
+    fresh = StructureAlgebra(built.n, built.dim, built.basis_names, built.table)
+    assert _series_readings(fresh) == first
+
+    lower_central_series(alg).clear()
+    upper_central_series(alg).append(None)
+    assert _series_readings(alg) == first
+
+
 def test_minimal_generators():
     assert minimal_generators(abelian(4, 2)) == 4
     assert minimal_generators(heisenberg(3, 1)) == 3

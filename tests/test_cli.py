@@ -229,3 +229,24 @@ def test_non_filippov_file_is_input_error(tmp_path, capsys):
         assert "bracket_args [1, 2], outer_args [3]" in err and "Traceback" not in err
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 0 and json.loads(out)["valid"] is False
+
+
+SOLVABLE = {"n": 2, "dim": 2, "basis": ["e1", "e2"],
+            "brackets": [{"args": [1, 2], "value": [[1, 1, 1]]}]}
+
+
+def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "solvable.json"
+    path.write_text(json.dumps(SOLVABLE))
+    not_nilpotent = "error: free presentation requires a nilpotent algebra\n"
+    cases = [
+        (["multiplier", str(path), "-c", "1"], not_nilpotent),
+        (["zcstar", str(path), "-c", "1"], not_nilpotent),
+        (["count", "-n", "2", "-d", "2", "-w", "0", "--formula"],
+         "error: need d >= 1, n >= 2, w >= 1\n"),
+        (["series", "heisenberg(1,1)"], "error: arity must be at least 2\n"),
+        (["table", "-n", "2", "--d-max", "21", "--w-max", "20"],
+         "error: comparison grid has 420 cells, limit is 400\n"),
+    ]
+    for argv, message in cases:
+        assert run_cli(capsys, *argv) == (2, "", message), argv
