@@ -6,6 +6,9 @@ as the span of canonical bracket trees modulo the span of all generalized
 Jacobi relations of that weight: direct identity instances on canonical
 trees, plus every lower-weight relation wrapped inside one bracket slot with
 canonical-tree company (which saturates the homogeneous relation ideal).
+The relations never change the multiset of generator leaves, so a layer is
+eliminated one multidegree block at a time, and only one block per orbit of
+the generator permutations is generated (see :func:`graded_component`).
 The layer dimension computed this way is the rank oracle used everywhere
 else as ground truth for graded dimensions.
 """
@@ -18,6 +21,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Iterator
 
 from .algebra import StructureAlgebra
@@ -165,15 +169,53 @@ def _expand_terms(
     return row
 
 
+def _key_base(n: int, w: int) -> int:
+    """Digit base of the multidegree keys at weight w: one more than the
+    number of leaves of a weight-w tree, so no digit of a tree of weight
+    <= w overflows."""
+    return (w - 1) * (n - 1) + 2
+
+
+def _multidegree_keys(pool: list[tuple[Tree, int]], base: int) -> dict[Tree, int]:
+    """Leaf multidegree (m_1, ..., m_d) of every pool tree, encoded as the
+    int sum_i m_i * base**(i-1).  A bracket's key is the sum of its
+    children's keys; the pool is in weight order, so children come first."""
+    keys: dict[Tree, int] = {}
+    for tree, _ in pool:
+        keys[tree] = base ** (tree - 1) if isinstance(tree, int) else sum(keys[c] for c in tree)
+    return keys
+
+
+def _orbit_representatives(d: int, base: int) -> set[int]:
+    """Keys of the multidegrees m_1 >= m_2 >= ... >= m_d >= 0 of the layer
+    whose key base is ``base`` (they sum to its leaf count, base - 1): one
+    per orbit of S_d acting on the generators."""
+    leaves = base - 1
+    return {
+        sum(m_i * base**i for i, m_i in enumerate(m))
+        for m in combinations_with_replacement(range(leaves, -1, -1), d)
+        if sum(m) == leaves
+    }
+
+
 def _identity_instance_rows(
-    n: int, w: int, pool: list[tuple[Tree, int]], index_of: dict
-) -> Iterator[dict[int, Fraction]]:
-    """Direct Jacobi-identity instances of weight w on canonical trees."""
+    n: int, w: int, pool: list[tuple[Tree, int]], index_of: dict,
+    keys: dict[Tree, int], wanted: set[int] | None,
+) -> Iterator[tuple[int, dict[int, Fraction]]]:
+    """Direct Jacobi-identity instances of weight w on canonical trees, with
+    their multidegree keys; only keys in ``wanted`` (all when None)."""
     for u in range(2, w):
         s_total = w - u + n - 2
         t_total = u + n - 2
+        company = [
+            (ss, sum(keys[s] for s in ss)) for ss in _weighted_tuples(pool, n - 1, s_total)
+        ]
         for ts in _weighted_tuples(pool, n, t_total):
-            for ss in _weighted_tuples(pool, n - 1, s_total):
+            t_key = sum(keys[t] for t in ts)
+            for ss, s_key in company:
+                key = t_key + s_key
+                if wanted is not None and key not in wanted:
+                    continue
                 terms: list[tuple[int, Tree]] = [(1, (tuple(ts),) + ss)]
                 for i in range(n):
                     replaced = list(ts)
@@ -181,53 +223,150 @@ def _identity_instance_rows(
                     terms.append((-1, tuple(replaced)))
                 row = _expand_terms(terms, index_of)
                 if row:
-                    yield row
+                    yield key, row
 
 
 def _wrapped_relation_rows(
     n: int, d: int, w: int, pool: list[tuple[Tree, int]], index_of: dict,
-    max_trees: int | None,
-) -> Iterator[dict[int, Fraction]]:
+    keys: dict[Tree, int], wanted: set[int] | None, max_trees: int | None,
+) -> Iterator[tuple[int, dict[int, Fraction]]]:
     """Relations of weight v < w placed in one slot of a bracket, with
-    canonical trees of complementary weights filling the other slots."""
+    canonical trees of complementary weights filling the other slots; with
+    their multidegree keys, only keys in ``wanted`` (all when None).  Each
+    lower relation row lies in one multidegree, that of its pivot tree."""
     for v in range(3, w):
         comp = graded_component(n, d, v, max_trees)
         if comp.relations.dim == 0:
             continue
+        relations = [
+            (keys[comp.trees[p]], row)
+            for p, row in zip(comp.relations.pivots, comp.relations.basis)
+        ]
         payload_total = w - v + n - 2
         for payload in _weighted_tuples(pool, n - 1, payload_total):
-            for relation in comp.relations.basis:
+            p_key = sum(keys[t] for t in payload)
+            for r_key, relation in relations:
+                key = r_key + p_key
+                if wanted is not None and key not in wanted:
+                    continue
                 terms = ((val, (comp.trees[col],) + payload) for col, val in relation.items())
                 row = _expand_terms(terms, index_of)
                 if row:
-                    yield row
+                    yield key, row
 
 
 def _relation_rows(
-    n: int, d: int, w: int, max_trees: int | None
-) -> Iterator[dict[int, Fraction]]:
+    n: int, d: int, w: int, max_trees: int | None, wanted: set[int] | None = None
+) -> Iterator[tuple[int, dict[int, Fraction]]]:
+    """Generated relation rows of weight w with their multidegree keys
+    (base ``_key_base(n, w)``).  A candidate whose key is not in ``wanted``
+    is skipped before any tree is canonicalized; None keeps every row."""
     if w < 3:
         return
     trees = canon_trees(n, d, w, max_trees)
     index_of = {t: i for i, t in enumerate(trees)}
     pool = _pool(n, d, w, max_trees)
-    yield from _identity_instance_rows(n, w, pool, index_of)
-    yield from _wrapped_relation_rows(n, d, w, pool, index_of, max_trees)
+    keys = _multidegree_keys(pool, _key_base(n, w))
+    yield from _identity_instance_rows(n, w, pool, index_of, keys, wanted)
+    yield from _wrapped_relation_rows(n, d, w, pool, index_of, keys, wanted, max_trees)
 
 
 def filippov_relations(
     n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES
 ) -> list[dict[int, Fraction]]:
-    """Generating relation rows of weight w, as sparse coordinate vectors
-    over ``canon_trees(n, d, w)``.  Empty for w <= 2 (no identity instance
-    fits below weight 3)."""
-    return list(_relation_rows(n, d, w, max_trees))
+    """Every generated relation row of weight w, as sparse coordinate
+    vectors over ``canon_trees(n, d, w)``.  Empty for w <= 2 (no identity
+    instance fits below weight 3)."""
+    return [row for _, row in _relation_rows(n, d, w, max_trees)]
+
+
+def _relabel(tree: Tree, perm: tuple[int, ...]) -> Tree:
+    if isinstance(tree, int):
+        return perm[tree]
+    return tuple(_relabel(child, perm) for child in tree)
+
+
+def _transported(
+    rows: tuple[dict[int, Fraction], ...], perm: tuple[int, ...],
+    trees: tuple[Tree, ...], index_of: dict,
+) -> list[dict[int, Fraction]]:
+    """``rows`` with every generator g relabelled to perm[g]: one
+    canonicalize per tree in their support, giving a sign and a column."""
+    moved: dict[int, tuple[int, int]] = {}
+    for row in rows:
+        for col in row:
+            if col not in moved:
+                sign, ct = canonicalize(_relabel(trees[col], perm))
+                moved[col] = (sign, index_of[ct])
+    out = []
+    for row in rows:
+        image = {}
+        for col, x in row.items():
+            sign, j = moved[col]
+            image[j] = x if sign > 0 else -x
+        out.append(image)
+    # inserted by decreasing first column, each new pivot lies left of the
+    # rows already kept, so no kept row needs back-substitution
+    out.sort(key=min, reverse=True)
+    return out
+
+
+def _orbit_relabellings(key: int, base: int, d: int) -> Iterator[tuple[int, ...]]:
+    """For a nonincreasing multidegree r, one relabelling perm (perm[g] is
+    the new label of generator g, perm[0] unused) onto each other
+    multidegree m in its S_d orbit: m[perm[i+1]-1] = r[i]."""
+    r = tuple(key // base**i % base for i in range(d))
+    for m in set(permutations(r)):
+        if m != r:
+            order = sorted(range(d), key=lambda j: -m[j])
+            yield (0,) + tuple(j + 1 for j in order)
 
 
 def graded_component(
     n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES
 ) -> GradedComponent:
-    """The weight-w layer of the free n-Lie algebra on d generators."""
+    """The weight-w layer of the free n-Lie algebra on d generators.
+
+    The layer is eliminated block by block.  Every generated relation row
+    is multihomogeneous: all terms of an identity instance, or of a lower
+    relation row wrapped with a payload, have the same multiset of
+    generator leaves.  So the relation span R_w is the direct sum of its
+    parts R_w(m) in the blocks of trees with leaf multidegree m, and R_w(m)
+    is spanned by the generated rows of multidegree m.
+
+    Lemma.  For sigma in S_d relabelling the generators, let sigma send
+    the coordinate vector of a canonical tree t to sign * e_c, where
+    ``canonicalize(sigma t) == (sign, c)`` (sign is never 0: relabelling is
+    injective on canonical trees, so no node gets two equal children).
+    Then sigma R_w = R_w, hence R_w(sigma m) = sigma R_w(m).
+
+    Proof.  The vector of a bracket is alternating and multilinear in the
+    vectors of its children (that is what canonicalizing computes), and
+    relabelling commutes with bracketing, so by induction on the tree
+    sigma maps the vector of any tree t to the vector of sigma t: sigma
+    commutes with expanding a formal sum of trees.  An identity instance J(ts, ss) therefore maps to
+    J(sigma ts, sigma ss).  J is multilinear and alternating in ts and in
+    ss separately, so that is +-J(ts', ss'), where ts' and ss' are the
+    canonical forms of sigma ts and sigma ss sorted ascending: the
+    generated instance on pool tuples of the same weights.  By induction
+    on the weight, sigma R_v = R_v for v < w (there is nothing below
+    weight 3).  A wrapped row [r, p] with r in R_v maps to
+    [sigma r, sigma p] = +-[sigma r, p'] for the sorted canonical payload
+    p'; sigma r is a combination of the basis rows of R_v, so this is a
+    combination of the generated rows [b, p'].  So sigma maps a spanning
+    set of R_w into R_w, and sigma R_w = R_w since sigma is invertible.
+    Relabelling sends multidegree m to sigma m, which gives the block
+    statement.
+
+    So rows are generated only for the nonincreasing multidegrees, one
+    per S_d orbit, and each is eliminated in its own builder.  Every
+    other block of the orbit gets the representative's reduced echelon
+    rows relabelled, re-reduced in its own column order.  The blocks have
+    disjoint columns, so the union of their reduced echelon rows, sorted
+    by pivot, is the reduced echelon basis of R_w: the same unique basis
+    one elimination of all generated rows gives (``filippov_relations``
+    is that route's generator, kept as a test oracle).
+    """
     key = (n, d, w)
     cached = _COMPONENT_CACHE.get(key)
     if cached is not None:
@@ -237,10 +376,25 @@ def graded_component(
         _COMPONENT_CACHE[key] = loaded
         return loaded
     trees = canon_trees(n, d, w, max_trees)
-    builder = SpanBuilder(len(trees))
-    for row in _relation_rows(n, d, w, max_trees):
+    index_of = {t: i for i, t in enumerate(trees)}
+    base = _key_base(n, w)
+    representatives = _orbit_representatives(d, base)
+    blocks: dict[int, SpanBuilder] = {}
+    for block, row in _relation_rows(n, d, w, max_trees, representatives):
+        builder = blocks.get(block)
+        if builder is None:
+            builder = blocks[block] = SpanBuilder(len(trees))
         builder.insert(row)
-    component = GradedComponent.build(n, d, w, trees, builder.subspace())
+    rows: dict[int, dict[int, Fraction]] = {}
+    for block, builder in blocks.items():
+        span = builder.subspace()
+        rows.update(zip(span.pivots, span.basis))
+        for perm in _orbit_relabellings(block, base, d):
+            image = Subspace.from_vectors(_transported(span.basis, perm, trees, index_of), len(trees))
+            rows.update(zip(image.pivots, image.basis))
+    pivots = tuple(sorted(rows))
+    relations = Subspace(len(trees), tuple(rows[p] for p in pivots), pivots)
+    component = GradedComponent.build(n, d, w, trees, relations)
     _COMPONENT_CACHE[key] = component
     _store_component(component)
     return component

@@ -233,7 +233,7 @@ def test_subalgebra_on_center():
 def test_subalgebra_rejects_non_closed():
     h = heisenberg(2, 1)
     generators = h.subspace([unit_vector(3, 0), unit_vector(3, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="subspace is not closed under the bracket"):
         subalgebra_on(h, generators)
 
 

@@ -1,9 +1,11 @@
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from functools import reduce
+from itertools import combinations, product
+from math import comb, factorial, gcd, prod
 
 import pytest
 from sympy import divisors, mobius
@@ -70,6 +72,65 @@ def test_relation_examples():
     assert filippov_relations(3, 3, 2) == []
 
 
+def _multidegree(tree, d):
+    counts = [0] * d
+
+    def visit(t):
+        if isinstance(t, int):
+            counts[t - 1] += 1
+        else:
+            for child in t:
+                visit(child)
+
+    visit(tree)
+    return tuple(counts)
+
+
+def necklace(m):
+    """Fine-graded Witt count: dimension of the multidegree-m part of the
+    free Lie algebra, (1/w) sum_{k | gcd m} mu(k) (w/k)! / prod (m_i/k)!."""
+    w = sum(m)
+    total = sum(
+        int(mobius(k)) * factorial(w // k) // prod(factorial(x // k) for x in m)
+        for k in divisors(reduce(gcd, m))
+    )
+    return total // w
+
+
+@pytest.mark.parametrize("d,w", [(2, 6), (2, 7), (2, 9), (3, 5), (3, 6), (4, 6)])
+def test_binary_multidegree_blocks_match_necklace_counts(d, w):
+    """Each multidegree block of a binary layer has the fine-graded
+    necklace dimension, not just the layer total."""
+    component = graded_component(2, d, w)
+    dims = Counter(_multidegree(t, d) for t in component.basis_trees)
+    for m in product(range(w + 1), repeat=d):
+        if sum(m) == w:
+            assert dims.get(m, 0) == necklace(m), m
+
+
+# every (n, d, w) the rank-oracle tests in this suite and the acceptance
+# suite reach, plus three larger layers of the oracle benchmark
+ORACLE_LAYERS = sorted(
+    {(2, d, w) for d in (2, 3, 4) for w in range(1, 6)}
+    | {(2, 2, 6), (2, 2, 7), (2, 3, 6), (2, 4, 6)}
+    | {(n, d, 2) for n in (2, 3, 4) for d in range(1, 7)}
+    | {(3, 2, w) for w in (1, 2, 3)}
+    | {(3, 3, 3), (3, 4, 5), (3, 5, 4), (2, 2, 9)}
+)
+
+
+@pytest.mark.parametrize("n,d,w", ORACLE_LAYERS)
+def test_block_elimination_matches_one_elimination_of_all_relations(n, d, w):
+    """The per-multidegree route gives the relation subspace that one
+    elimination of every generated relation row gives, and each of its
+    reduced echelon rows lies in a single multidegree."""
+    component = graded_component(n, d, w)
+    whole = Subspace.from_vectors(filippov_relations(n, d, w), len(component.trees))
+    assert component.relations == whole
+    for row in component.relations.basis:
+        assert len({_multidegree(component.trees[col], d) for col in row}) == 1
+
+
 def test_weight_three_rank_oracle():
     assert graded_dimension(2, 4, 3) == 20  # (4^3 - 4) / 3
 
@@ -116,7 +177,9 @@ def test_free_nilpotent_table_matches_exhaustive_loop(n, d, k):
     assert list(built.algebra.table.items()) == list(want.items())
 
 
-@pytest.mark.parametrize("n,d,k", [(2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 3, 2), (3, 3, 3)])
+@pytest.mark.parametrize(
+    "n,d,k", [(2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 3, 2), (3, 3, 3), (4, 4, 3)]
+)
 def test_free_nilpotent_satisfies_filippov(n, d, k):
     assert free_nilpotent(n, d, k).algebra.validate().valid
 
