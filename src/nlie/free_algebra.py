@@ -21,7 +21,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Iterator
 
 from .algebra import StructureAlgebra
@@ -186,18 +185,6 @@ def _multidegree_keys(pool: list[tuple[Tree, int]], base: int) -> dict[Tree, int
     return keys
 
 
-def _orbit_representatives(d: int, base: int) -> set[int]:
-    """Keys of the multidegrees m_1 >= m_2 >= ... >= m_d >= 0 of the layer
-    whose key base is ``base`` (they sum to its leaf count, base - 1): one
-    per orbit of S_d acting on the generators."""
-    leaves = base - 1
-    return {
-        sum(m_i * base**i for i, m_i in enumerate(m))
-        for m in combinations_with_replacement(range(leaves, -1, -1), d)
-        if sum(m) == leaves
-    }
-
-
 def _identity_instance_rows(
     n: int, w: int, pool: list[tuple[Tree, int]], index_of: dict,
     keys: dict[Tree, int], wanted: set[int] | None,
@@ -305,21 +292,28 @@ def _transported(
             sign, j = moved[col]
             image[j] = x if sign > 0 else -x
         out.append(image)
-    # inserted by decreasing first column, each new pivot lies left of the
-    # rows already kept, so no kept row needs back-substitution
+    # inserted by decreasing first column: while those columns are distinct,
+    # each new pivot lies left of the rows already kept and no kept row needs
+    # back-substitution (relabelling need not keep the pivots first, so two
+    # rows can share a first column; the builder then clears as usual)
     out.sort(key=min, reverse=True)
     return out
 
 
-def _orbit_relabellings(key: int, base: int, d: int) -> Iterator[tuple[int, ...]]:
-    """For a nonincreasing multidegree r, one relabelling perm (perm[g] is
-    the new label of generator g, perm[0] unused) onto each other
-    multidegree m in its S_d orbit: m[perm[i+1]-1] = r[i]."""
-    r = tuple(key // base**i % base for i in range(d))
-    for m in set(permutations(r)):
-        if m != r:
-            order = sorted(range(d), key=lambda j: -m[j])
-            yield (0,) + tuple(j + 1 for j in order)
+def _orbits(block_keys: Iterable[int], base: int, d: int) -> dict[int, list[tuple[int, ...]]]:
+    """Group the multidegree keys of a layer's blocks by S_d orbit.  Maps
+    the key of each orbit's nonincreasing multidegree r to one relabelling
+    perm onto every other block m of the orbit (perm[g] is the new label of
+    generator g, perm[0] unused): m[perm[i+1]-1] = r[i]."""
+    orbits: dict[int, list[tuple[int, ...]]] = {}
+    for key in block_keys:
+        m = [key // base**i % base for i in range(d)]
+        order = sorted(range(d), key=lambda j: -m[j])
+        r_key = sum(m[j] * base**i for i, j in enumerate(order))
+        perms = orbits.setdefault(r_key, [])
+        if r_key != key:
+            perms.append((0,) + tuple(j + 1 for j in order))
+    return orbits
 
 
 def graded_component(
@@ -378,9 +372,10 @@ def graded_component(
     trees = canon_trees(n, d, w, max_trees)
     index_of = {t: i for i, t in enumerate(trees)}
     base = _key_base(n, w)
-    representatives = _orbit_representatives(d, base)
+    keys = _multidegree_keys(_pool(n, d, w, max_trees) + [(t, w) for t in trees], base)
+    orbits = _orbits({keys[t] for t in trees}, base, d)
     blocks: dict[int, SpanBuilder] = {}
-    for block, row in _relation_rows(n, d, w, max_trees, representatives):
+    for block, row in _relation_rows(n, d, w, max_trees, set(orbits)):
         builder = blocks.get(block)
         if builder is None:
             builder = blocks[block] = SpanBuilder(len(trees))
@@ -389,7 +384,7 @@ def graded_component(
     for block, builder in blocks.items():
         span = builder.subspace()
         rows.update(zip(span.pivots, span.basis))
-        for perm in _orbit_relabellings(block, base, d):
+        for perm in orbits[block]:
             image = Subspace.from_vectors(_transported(span.basis, perm, trees, index_of), len(trees))
             rows.update(zip(image.pivots, image.basis))
     pivots = tuple(sorted(rows))

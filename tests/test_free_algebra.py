@@ -37,7 +37,9 @@ def test_binary_layers_match_witt(d, w):
     assert graded_dimension(2, d, w) == witt(d, w)
 
 
-@pytest.mark.parametrize("d,w", [(2, 6), (2, 7), (3, 6), (4, 6)])
+# (12, 3) and (10, 4) have many multidegree blocks per orbit: filling them
+# must stay cheap as d grows
+@pytest.mark.parametrize("d,w", [(2, 6), (2, 7), (3, 6), (4, 6), (12, 3), (10, 4)])
 def test_binary_layers_match_witt_higher_weights(d, w):
     assert graded_dimension(2, d, w) == witt(d, w)
 
@@ -109,13 +111,15 @@ def test_binary_multidegree_blocks_match_necklace_counts(d, w):
 
 
 # every (n, d, w) the rank-oracle tests in this suite and the acceptance
-# suite reach, plus three larger layers of the oracle benchmark
+# suite reach, three larger layers of the oracle benchmark, and two layers
+# with many generators
 ORACLE_LAYERS = sorted(
     {(2, d, w) for d in (2, 3, 4) for w in range(1, 6)}
     | {(2, 2, 6), (2, 2, 7), (2, 3, 6), (2, 4, 6)}
     | {(n, d, 2) for n in (2, 3, 4) for d in range(1, 7)}
     | {(3, 2, w) for w in (1, 2, 3)}
     | {(3, 3, 3), (3, 4, 5), (3, 5, 4), (2, 2, 9)}
+    | {(2, 8, 4), (3, 7, 3)}
 )
 
 
