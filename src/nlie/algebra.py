@@ -24,7 +24,7 @@ from .linalg import (
     _sparse,
     left_kernel,
 )
-from .trees import _permutation_sign
+from .trees import canonicalize
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -36,14 +36,6 @@ class AlgebraFormatError(ValueError):
 
 class NotNilpotentError(ValueError):
     """An operation that requires nilpotency got a non-nilpotent algebra."""
-
-
-def _sorted_with_sign(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sort an index tuple, tracking permutation parity; sign 0 on repeats."""
-    if len(set(indices)) != len(indices):
-        return 0, indices
-    order = sorted(range(len(indices)), key=indices.__getitem__)
-    return _permutation_sign(order), tuple(indices[i] for i in order)
 
 
 class StructureAlgebra:
@@ -109,7 +101,7 @@ class StructureAlgebra:
 
     def bracket_basis(self, indices: tuple[int, ...]) -> dict[int, Fraction]:
         """Bracket of basis elements, for an arbitrary index tuple."""
-        sign, key = _sorted_with_sign(tuple(indices))
+        sign, key = canonicalize(tuple(indices))
         if sign == 0:
             return {}
         row = self.table.get(key)
@@ -132,7 +124,7 @@ class StructureAlgebra:
         acc: dict[int, Fraction] = {}
         for combo in product(*supports):
             indices, coeffs = zip(*combo)
-            sign, key = _sorted_with_sign(indices)
+            sign, key = canonicalize(indices)
             row = self.table.get(key) if sign else None
             if row:
                 _axpy(acc, prod(coeffs, start=sign), row)

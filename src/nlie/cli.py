@@ -497,6 +497,11 @@ def main(argv=None) -> int:
     except (ValueError, ResourceLimitError, GridLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # a failed internal self-check (the free presentation, the cover
+        # analysis): the answer it guards is not printed
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return 4
     finally:
         set_component_cache_dir(None)
 

@@ -11,6 +11,16 @@ eliminated one multidegree block at a time, and only one block per orbit of
 the generator permutations is generated (see :func:`graded_component`).
 The layer dimension computed this way is the rank oracle used everywhere
 else as ground truth for graded dimensions.
+
+Inside the module every canonical tree is an int id.  Per (n, d), one
+:class:`_TreeIds` table, grown weight by weight, numbers the canonical
+trees in the total tree order: generator g is id g, then each weight layer
+follows as one contiguous id range, so a layer column is id - start(w).
+A bracket of canonical trees is then a tuple of ids, and canonicalizing it
+is one flat :func:`canonicalize` of ints and one dict lookup; generator
+relabellings become id -> (sign, id) maps.  Nested tuples appear only at
+the boundaries: :func:`canon_trees`, :class:`GradedComponent` and the JSON
+cache.
 """
 
 from __future__ import annotations
@@ -21,18 +31,11 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .algebra import StructureAlgebra
 from .linalg import SpanBuilder, Subspace, frac_str
-from .trees import (
-    Tree,
-    canonicalize,
-    tree_from_json,
-    tree_to_json,
-    tree_to_str,
-    weight,
-)
+from .trees import Tree, canonicalize, tree_from_json, tree_to_json, tree_to_str
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -41,7 +44,7 @@ DEFAULT_MAX_TREES = 200_000
 COMPONENT_FORMAT = "nlie-graded-component-v2"
 
 _component_cache_dir: str | None = None
-_TREE_CACHE: dict[tuple[int, int, int], tuple[Tree, ...]] = {}
+_TREE_IDS: dict[tuple[int, int], "_TreeIds"] = {}
 _COMPONENT_CACHE: dict[tuple[int, int, int], "GradedComponent"] = {}
 _FREE_CACHE: dict[tuple[int, int, int], "FreeNilpotentAlgebra"] = {}
 
@@ -56,39 +59,108 @@ def set_component_cache_dir(path: str | None) -> None:
     _component_cache_dir = path
 
 
+def _key_base(n: int, w: int) -> int:
+    """Digit base of the multidegree keys up to weight w: one more than the
+    number of leaves of a weight-w tree, so no digit of a tree of weight
+    <= w overflows."""
+    return (w - 1) * (n - 1) + 2
+
+
+class _TreeIds:
+    """The canonical trees on d generators, interned as int ids in the total
+    tree order: generator g is id g, then every canonical tree of weight 2,
+    then of weight 3, and so on.  Grown a weight at a time by
+    :func:`canon_trees`.
+
+    * ``ids`` maps the kid-id tuple of a bracket to its id, and ``kids``
+      maps an id back (``()`` for a generator and for the unused id 0);
+    * ``starts[w]`` is the first id of weight w, ``starts[w + 1]`` one past
+      its last;
+    * ``layers[w]`` holds the weight-w trees as nested tuples;
+    * ``multidegrees(w)`` gives the leaf multidegree of every tree as an
+      array indexed by id.
+
+    A canonical tree of weight w is a strictly increasing tuple of n
+    canonical trees of weights summing to w + n - 2, and the tree order
+    compares brackets by weight, then children lexicographically.  So
+    enumerating increasing id tuples of lower trees in lexicographic order
+    lists each layer in tree order.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.d = d
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.kids: list[tuple[int, ...]] = [()] * (d + 1)
+        self.starts = [0, 1, d + 1]
+        self.layers: list[tuple[Tree, ...]] = [(), tuple(range(1, d + 1))]
+        self._keys: list[int] = []
+        self._base = 0
+
+    @property
+    def top(self) -> int:
+        return len(self.layers) - 1
+
+    def pool(self, w: int) -> list[tuple[int, int]]:
+        """(id, weight) of every tree of weight < w, in id order."""
+        starts = self.starts
+        return [(i, v) for v in range(1, w) for i in range(starts[v], starts[v + 1])]
+
+    def add_layer(self, max_trees: int | None) -> None:
+        """Intern the canonical trees of the next weight.  A layer of more
+        than ``max_trees`` trees raises before any of it is added."""
+        n, v = self.n, self.top + 1
+        combos: list[tuple[int, ...]] = []
+        for combo in _weighted_tuples(self.pool(v), n, v + n - 2):
+            combos.append(combo)
+            if max_trees is not None and len(combos) > max_trees:
+                raise ResourceLimitError(
+                    f"more than {max_trees} canonical trees at (n={n}, d={self.d}, w={v})"
+                )
+        nested: list[Tree] = [None]
+        for layer in self.layers[1:]:
+            nested.extend(layer)
+        start = len(self.kids)
+        self.ids.update(zip(combos, range(start, start + len(combos))))
+        self.kids.extend(combos)
+        self.layers.append(tuple(tuple(nested[i] for i in combo) for combo in combos))
+        self.starts.append(start + len(combos))
+
+    def multidegrees(self, w: int) -> tuple[list[int], int]:
+        """``(keys, base)`` for a table grown to weight w or more: keys[i] is
+        the leaf multidegree (m_1, ..., m_d) of tree i encoded as the int
+        sum_g m_g * base**(g-1), in a base where no digit of a tree of
+        weight <= w overflows.  A bracket's key is the sum of its kids'.
+        Encoded again, for every tree, only when w needs a larger base."""
+        if _key_base(self.n, w) > self._base:
+            base = _key_base(self.n, self.top)
+            keys = [0] + [base**g for g in range(self.d)]
+            keys.extend(sum(keys[c] for c in kids) for kids in self.kids[self.d + 1:])
+            self._keys, self._base = keys, base
+        return self._keys, self._base
+
+
+def _tree_ids(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES) -> _TreeIds:
+    """The id table of (n, d), grown to weight w."""
+    canon_trees(n, d, w, max_trees)
+    return _TREE_IDS[(n, d)]
+
+
 def canon_trees(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES) -> tuple[Tree, ...]:
     """All canonical trees of weight w on d generators, ascending in the
-    total tree order."""
+    total tree order.  The layers below w are interned first, each by its
+    own call."""
     if n < 2:
         raise ValueError("arity must be at least 2")
     if d < 0 or w < 1:
         raise ValueError("need d >= 0 and w >= 1")
-    key = (n, d, w)
-    cached = _TREE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if w == 1:
-        trees: tuple[Tree, ...] = tuple(range(1, d + 1))
-    else:
-        pool = _pool(n, d, w, max_trees)
-        out: list[Tree] = []
-        for combo in _weighted_tuples(pool, n, w + n - 2):
-            out.append(tuple(combo))
-            if max_trees is not None and len(out) > max_trees:
-                raise ResourceLimitError(
-                    f"more than {max_trees} canonical trees at (n={n}, d={d}, w={w})"
-                )
-        trees = tuple(out)
-    _TREE_CACHE[key] = trees
-    return trees
-
-
-def _pool(n: int, d: int, w: int, max_trees: int | None) -> list[tuple[Tree, int]]:
-    """Canonical trees of weight < w with their weights, in tree order."""
-    pool: list[tuple[Tree, int]] = []
-    for v in range(1, w):
-        pool.extend((t, v) for t in canon_trees(n, d, v, max_trees))
-    return pool
+    table = _TREE_IDS.get((n, d))
+    if table is None:
+        table = _TREE_IDS[(n, d)] = _TreeIds(n, d)
+    if w > table.top:
+        canon_trees(n, d, w - 1, max_trees)
+        table.add_layer(max_trees)
+    return table.layers[w]
 
 
 def _weighted_tuples(
@@ -151,46 +223,53 @@ class GradedComponent:
         return {positions[i]: c for i, c in residue.items()}
 
 
-def _expand_terms(
-    terms: Iterable[tuple[int | Fraction, Tree]], index_of: dict
+def _add_bracket(row: dict[int, Fraction], coeff, kids: tuple[int, ...], ids: dict, start: int) -> None:
+    """Add coeff times the bracket of the interned trees ``kids`` to ``row``,
+    whose columns are the ids of one layer minus its ``start``."""
+    sign, ct = canonicalize(kids)
+    if sign == 0:
+        return
+    j = ids[ct] - start
+    nv = row.get(j, _F0) + (coeff if sign > 0 else -coeff)
+    if nv:
+        row[j] = nv
+    else:
+        row.pop(j, None)
+
+
+def _instance_row(
+    ts: tuple[int, ...], ss: tuple[int, ...], ids: dict, start: int
 ) -> dict[int, Fraction]:
+    """The identity instance [ts, ss] = sum_i [t_1, ..., [t_i, ss], ..., t_n]
+    as a row, for canonical id tuples ``ts`` (n trees, so itself a canonical
+    tree) and ``ss`` (n - 1 trees)."""
     row: dict[int, Fraction] = {}
-    for coeff, tree in terms:
-        sign, ct = canonicalize(tree)
-        if sign == 0:
-            continue
-        j = index_of[ct]
-        nv = row.get(j, _F0) + coeff * sign
-        if nv:
-            row[j] = nv
-        else:
-            row.pop(j, None)
+    _add_bracket(row, 1, (ids[ts],) + ss, ids, start)
+    for i, t in enumerate(ts):
+        sign, inner = canonicalize((t,) + ss)
+        if sign:
+            _add_bracket(row, -sign, ts[:i] + (ids[inner],) + ts[i + 1:], ids, start)
     return row
 
 
-def _key_base(n: int, w: int) -> int:
-    """Digit base of the multidegree keys at weight w: one more than the
-    number of leaves of a weight-w tree, so no digit of a tree of weight
-    <= w overflows."""
-    return (w - 1) * (n - 1) + 2
-
-
-def _multidegree_keys(pool: list[tuple[Tree, int]], base: int) -> dict[Tree, int]:
-    """Leaf multidegree (m_1, ..., m_d) of every pool tree, encoded as the
-    int sum_i m_i * base**(i-1).  A bracket's key is the sum of its
-    children's keys; the pool is in weight order, so children come first."""
-    keys: dict[Tree, int] = {}
-    for tree, _ in pool:
-        keys[tree] = base ** (tree - 1) if isinstance(tree, int) else sum(keys[c] for c in tree)
-    return keys
+def _wrapped_row(
+    relation: dict[int, Fraction], offset: int, payload: tuple[int, ...], ids: dict, start: int
+) -> dict[int, Fraction]:
+    """A lower relation row (columns = ids - ``offset``) in the first slot of
+    a bracket with the canonical id tuple ``payload`` in the others."""
+    row: dict[int, Fraction] = {}
+    for col, val in relation.items():
+        _add_bracket(row, val, (offset + col,) + payload, ids, start)
+    return row
 
 
 def _identity_instance_rows(
-    n: int, w: int, pool: list[tuple[Tree, int]], index_of: dict,
-    keys: dict[Tree, int], wanted: set[int] | None,
+    n: int, w: int, table: _TreeIds, pool: list[tuple[int, int]], wanted: set[int] | None,
 ) -> Iterator[tuple[int, dict[int, Fraction]]]:
     """Direct Jacobi-identity instances of weight w on canonical trees, with
     their multidegree keys; only keys in ``wanted`` (all when None)."""
+    ids, start = table.ids, table.starts[w]
+    keys, _ = table.multidegrees(w)
     for u in range(2, w):
         s_total = w - u + n - 2
         t_total = u + n - 2
@@ -198,36 +277,33 @@ def _identity_instance_rows(
             (ss, sum(keys[s] for s in ss)) for ss in _weighted_tuples(pool, n - 1, s_total)
         ]
         for ts in _weighted_tuples(pool, n, t_total):
-            t_key = sum(keys[t] for t in ts)
+            t_key = keys[ids[ts]]
             for ss, s_key in company:
                 key = t_key + s_key
                 if wanted is not None and key not in wanted:
                     continue
-                terms: list[tuple[int, Tree]] = [(1, (tuple(ts),) + ss)]
-                for i in range(n):
-                    replaced = list(ts)
-                    replaced[i] = (ts[i],) + ss
-                    terms.append((-1, tuple(replaced)))
-                row = _expand_terms(terms, index_of)
+                row = _instance_row(ts, ss, ids, start)
                 if row:
                     yield key, row
 
 
 def _wrapped_relation_rows(
-    n: int, d: int, w: int, pool: list[tuple[Tree, int]], index_of: dict,
-    keys: dict[Tree, int], wanted: set[int] | None, max_trees: int | None,
+    n: int, d: int, w: int, table: _TreeIds, pool: list[tuple[int, int]],
+    wanted: set[int] | None, max_trees: int | None,
 ) -> Iterator[tuple[int, dict[int, Fraction]]]:
     """Relations of weight v < w placed in one slot of a bracket, with
     canonical trees of complementary weights filling the other slots; with
     their multidegree keys, only keys in ``wanted`` (all when None).  Each
     lower relation row lies in one multidegree, that of its pivot tree."""
+    ids, start = table.ids, table.starts[w]
+    keys, _ = table.multidegrees(w)
     for v in range(3, w):
         comp = graded_component(n, d, v, max_trees)
         if comp.relations.dim == 0:
             continue
+        offset = table.starts[v]
         relations = [
-            (keys[comp.trees[p]], row)
-            for p, row in zip(comp.relations.pivots, comp.relations.basis)
+            (keys[offset + p], row) for p, row in zip(comp.relations.pivots, comp.relations.basis)
         ]
         payload_total = w - v + n - 2
         for payload in _weighted_tuples(pool, n - 1, payload_total):
@@ -236,8 +312,7 @@ def _wrapped_relation_rows(
                 key = r_key + p_key
                 if wanted is not None and key not in wanted:
                     continue
-                terms = ((val, (comp.trees[col],) + payload) for col, val in relation.items())
-                row = _expand_terms(terms, index_of)
+                row = _wrapped_row(relation, offset, payload, ids, start)
                 if row:
                     yield key, row
 
@@ -245,17 +320,16 @@ def _wrapped_relation_rows(
 def _relation_rows(
     n: int, d: int, w: int, max_trees: int | None, wanted: set[int] | None = None
 ) -> Iterator[tuple[int, dict[int, Fraction]]]:
-    """Generated relation rows of weight w with their multidegree keys
-    (base ``_key_base(n, w)``).  A candidate whose key is not in ``wanted``
-    is skipped before any tree is canonicalized; None keeps every row."""
+    """Generated relation rows of weight w with their multidegree keys (as
+    encoded by ``_TreeIds.multidegrees``).  A candidate whose key is not in
+    ``wanted`` is skipped before any tree is canonicalized; None keeps
+    every row."""
     if w < 3:
         return
-    trees = canon_trees(n, d, w, max_trees)
-    index_of = {t: i for i, t in enumerate(trees)}
-    pool = _pool(n, d, w, max_trees)
-    keys = _multidegree_keys(pool, _key_base(n, w))
-    yield from _identity_instance_rows(n, w, pool, index_of, keys, wanted)
-    yield from _wrapped_relation_rows(n, d, w, pool, index_of, keys, wanted, max_trees)
+    table = _tree_ids(n, d, w, max_trees)
+    pool = table.pool(w)
+    yield from _identity_instance_rows(n, w, table, pool, wanted)
+    yield from _wrapped_relation_rows(n, d, w, table, pool, wanted, max_trees)
 
 
 def filippov_relations(
@@ -267,30 +341,41 @@ def filippov_relations(
     return [row for _, row in _relation_rows(n, d, w, max_trees)]
 
 
-def _relabel(tree: Tree, perm: tuple[int, ...]) -> Tree:
-    if isinstance(tree, int):
-        return perm[tree]
-    return tuple(_relabel(child, perm) for child in tree)
+def _relabelling(table: _TreeIds, perm: tuple[int, ...]) -> Callable[[int], tuple[int, int]]:
+    """The generator relabelling g -> perm[g] on interned trees, as a map
+    id -> (sign, id) of the canonical image.  Filled lazily and bottom-up:
+    a bracket's image is the canonicalized tuple of its kids' images."""
+    kids, ids = table.kids, table.ids
+    image = {g: (1, perm[g]) for g in range(1, len(perm))}
+
+    def relabel(tree: int) -> tuple[int, int]:
+        hit = image.get(tree)
+        if hit is None:
+            sign = 1
+            moved = []
+            for kid in kids[tree]:
+                s, j = relabel(kid)
+                sign *= s
+                moved.append(j)
+            s, ct = canonicalize(tuple(moved))
+            hit = image[tree] = (sign * s, ids[ct])
+        return hit
+
+    return relabel
 
 
 def _transported(
-    rows: tuple[dict[int, Fraction], ...], perm: tuple[int, ...],
-    trees: tuple[Tree, ...], index_of: dict,
+    rows: tuple[dict[int, Fraction], ...], relabel: Callable[[int], tuple[int, int]], start: int
 ) -> list[dict[int, Fraction]]:
-    """``rows`` with every generator g relabelled to perm[g]: one
-    canonicalize per tree in their support, giving a sign and a column."""
-    moved: dict[int, tuple[int, int]] = {}
-    for row in rows:
-        for col in row:
-            if col not in moved:
-                sign, ct = canonicalize(_relabel(trees[col], perm))
-                moved[col] = (sign, index_of[ct])
+    """``rows`` (columns = ids - ``start``) under the relabelling map
+    ``relabel``: each column moves to its image's column, negated on a
+    negative sign."""
     out = []
     for row in rows:
         image = {}
         for col, x in row.items():
-            sign, j = moved[col]
-            image[j] = x if sign > 0 else -x
+            sign, j = relabel(start + col)
+            image[j - start] = x if sign > 0 else -x
         out.append(image)
     # inserted by decreasing first column: while those columns are distinct,
     # each new pivot lies left of the rows already kept and no kept row needs
@@ -369,11 +454,11 @@ def graded_component(
     if loaded is not None:
         _COMPONENT_CACHE[key] = loaded
         return loaded
-    trees = canon_trees(n, d, w, max_trees)
-    index_of = {t: i for i, t in enumerate(trees)}
-    base = _key_base(n, w)
-    keys = _multidegree_keys(_pool(n, d, w, max_trees) + [(t, w) for t in trees], base)
-    orbits = _orbits({keys[t] for t in trees}, base, d)
+    table = _tree_ids(n, d, w, max_trees)
+    trees = table.layers[w]
+    start = table.starts[w]
+    keys, base = table.multidegrees(w)
+    orbits = _orbits(set(keys[start:start + len(trees)]), base, d)
     blocks: dict[int, SpanBuilder] = {}
     for block, row in _relation_rows(n, d, w, max_trees, set(orbits)):
         builder = blocks.get(block)
@@ -385,7 +470,8 @@ def graded_component(
         span = builder.subspace()
         rows.update(zip(span.pivots, span.basis))
         for perm in orbits[block]:
-            image = Subspace.from_vectors(_transported(span.basis, perm, trees, index_of), len(trees))
+            moved = _transported(span.basis, _relabelling(table, perm), start)
+            image = Subspace.from_vectors(moved, len(trees))
             rows.update(zip(image.pivots, image.basis))
     pivots = tuple(sorted(rows))
     relations = Subspace(len(trees), tuple(rows[p] for p in pivots), pivots)
@@ -446,6 +532,8 @@ def free_nilpotent(
         basis_trees.extend(comp.basis_trees)
         weights.extend([comp.w] * comp.dim)
     dim = len(basis_trees)
+    ids = _tree_ids(n, d, k, max_trees)
+    basis_ids = [ids.starts[comp.w] + i for comp in components for i in comp.basis_indices]
     table: dict[tuple[int, ...], dict[int, Fraction]] = {}
     # a bracket of weights w_1..w_n has weight sum(w_i) - n + 2, and only
     # weights <= k survive; the basis is ordered by weight, so the
@@ -456,12 +544,11 @@ def free_nilpotent(
     )
     for args in admissible:
         total = sum(weights[i] for i in args) - n + 2
-        composite = tuple(basis_trees[i] for i in args)
-        sign, ct = canonicalize(composite)
-        if sign == 0:
-            continue
+        # basis ids ascend with the basis index, so the bracket of an
+        # increasing index tuple is already canonical, with sign +1
+        col = ids.ids[tuple(basis_ids[i] for i in args)] - ids.starts[total]
         comp = components[total - 1]
-        coords = comp.coordinates({comp.tree_index[ct]: Fraction(sign)})
+        coords = comp.coordinates({col: _F1})
         if coords:
             off = offsets[total - 1]
             table[args] = {off + pos: c for pos, c in coords.items()}
@@ -589,7 +676,14 @@ def _store_component(comp: GradedComponent) -> None:
 
 
 def clear_caches() -> None:
-    """Drop all in-memory memoization (mainly for determinism tests)."""
-    _TREE_CACHE.clear()
+    """Empty every module-level memo of this module: the interned-tree
+    tables (``_TREE_IDS``, which also hold what :func:`canon_trees`
+    returns), the graded components (``_COMPONENT_CACHE``) and the free
+    nilpotent quotients (``_FREE_CACHE``).  The disk cache is untouched.
+
+    The tree-order memos ``trees._KEY_CACHE`` and ``trees._WEIGHT_CACHE``
+    are deliberately left warm: clearing them here would change what the
+    cold jobs of the benchmark measure, which call this between jobs."""
+    _TREE_IDS.clear()
     _COMPONENT_CACHE.clear()
     _FREE_CACHE.clear()

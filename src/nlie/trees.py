@@ -6,6 +6,11 @@ of the bracket is normalized away structurally: the canonical form of a tree
 has the children at every node sorted strictly ascending under the total
 tree order, and carries the sign of the sorting permutation (0 when two
 children coincide, since the bracket kills repeated arguments).
+
+:func:`canonicalize` is also the one sort-with-parity routine of the
+package: on a tuple of ints it sorts them as they are, which serves the
+interned tree ids of :mod:`nlie.free_algebra` and the basis-index tuples of
+:mod:`nlie.algebra`.
 """
 
 from __future__ import annotations
@@ -77,21 +82,21 @@ def compare_trees(a: Tree, b: Tree) -> int:
     return 0
 
 
-def _permutation_sign(order: list[int]) -> int:
-    seen = [False] * len(order)
+def _sort_with_sign(keys) -> tuple[int, list]:
+    """``keys`` sorted ascending, with the parity of the sorting permutation
+    as +1/-1 (counted by inversions), or 0 when two keys coincide."""
+    ordered = sorted(keys)
+    k = len(ordered)
+    for i in range(k - 1):
+        if ordered[i] == ordered[i + 1]:
+            return 0, ordered
     sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    for i in range(k - 1):
+        a = keys[i]
+        for j in range(i + 1, k):
+            if a > keys[j]:
+                sign = -sign
+    return sign, ordered
 
 
 def canonicalize(tree: Tree) -> tuple[int, Tree]:
@@ -100,9 +105,18 @@ def canonicalize(tree: Tree) -> tuple[int, Tree]:
     Returns ``(sign, canonical_tree)`` where sign is +1/-1 for the parity of
     the child-sorting permutations, or 0 when some node has two equal
     children.  Idempotent: canonical trees come back unchanged with sign +1.
+
+    A bracket of generators takes a flat path: ints compare by index, which
+    is the generator order, so the children are sorted as they are.
     """
     if is_generator(tree):
         return 1, tree
+    for child in tree:
+        if not is_generator(child):
+            break
+    else:
+        sign, ordered = _sort_with_sign(tree)
+        return sign, tuple(ordered)
     sign = 1
     kids = []
     for child in tree:
@@ -112,13 +126,10 @@ def canonicalize(tree: Tree) -> tuple[int, Tree]:
         sign *= s
         kids.append(c)
     keys = [order_key(c) for c in kids]
-    order = sorted(range(len(kids)), key=keys.__getitem__)
-    sorted_keys = [keys[i] for i in order]
-    for a, b in zip(sorted_keys, sorted_keys[1:]):
-        if a == b:
-            return 0, tuple(kids[i] for i in order)
-    sign *= _permutation_sign(order)
-    return sign, tuple(kids[i] for i in order)
+    s, ordered = _sort_with_sign(keys)
+    # equal keys belong to equal trees, so the map loses nothing
+    kid_of = dict(zip(keys, kids))
+    return sign * s, tuple(kid_of[key] for key in ordered)
 
 
 def tree_to_str(tree: Tree) -> str:

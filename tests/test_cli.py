@@ -250,3 +250,19 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv) == (2, "", message), argv
+
+
+def test_failed_self_check_exits_4_with_one_line(capsys, monkeypatch):
+    from nlie import multiplier
+
+    def broken(*args):
+        raise AssertionError("bracket not respected on basis tuple (0, 1)")
+
+    monkeypatch.setattr(multiplier, "_check_homomorphism", broken)
+    multiplier.clear_cache()
+    try:
+        got = run_cli(capsys, "multiplier", "heisenberg(2,1)", "-c", "1")
+    finally:
+        multiplier.clear_cache()
+    message = "error: internal self-check failed: bracket not respected on basis tuple (0, 1)\n"
+    assert got == (4, "", message)

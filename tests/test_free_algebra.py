@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -133,6 +134,26 @@ def test_block_elimination_matches_one_elimination_of_all_relations(n, d, w):
     assert component.relations == whole
     for row in component.relations.basis:
         assert len({_multidegree(component.trees[col], d) for col in row}) == 1
+
+
+# sha256 of json.dumps(component_to_json(graded_component(n, d, w))), taken
+# from the nested-tree route before the rank oracle moved to interned tree
+# ids: the trees, the reduced echelon relation basis and the layer basis
+# must stay byte-identical, not only the dimensions.
+RELATION_BASIS_SHA256 = {
+    (2, 4, 6): "157b109a093088b1ca237f9f74c54269276252c5fbb018628bb4674430f38d93",
+    (3, 4, 5): "9f1ad321d0260c6575e1547094aec1fc177408085099f53e000442560785fc9c",
+    (3, 5, 4): "bcff0cfb3176ddb78e151ee190d30e14b39c1c40d4a651f62d2f7a8f8412f33b",
+    (2, 2, 9): "07a20810bd89b11a38eadc70143d61e633444f5cbb56e341254cd26da8f5a4e6",
+    (4, 5, 4): "beca2f5c83761c3fd3ddc66d37392c8f324e26d9a0ef740a755cb88a45b54387",
+}
+
+
+@pytest.mark.parametrize("n,d,w", sorted(RELATION_BASIS_SHA256))
+def test_relation_basis_is_pinned(n, d, w):
+    free_algebra.clear_caches()
+    text = json.dumps(component_to_json(graded_component(n, d, w)))
+    assert hashlib.sha256(text.encode()).hexdigest() == RELATION_BASIS_SHA256[(n, d, w)]
 
 
 def test_weight_three_rank_oracle():

@@ -1,0 +1,166 @@
+"""The rank oracle's interned-id route against the nested-tree route it
+replaced: the flat-int path of ``canonicalize``, the lazy relabelling map,
+and the expansion of identity instances and wrapped relation rows."""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+
+from nlie import free_algebra
+from nlie.free_algebra import (
+    _instance_row,
+    _relabelling,
+    _tree_ids,
+    _weighted_tuples,
+    _wrapped_row,
+    canon_trees,
+    free_nilpotent,
+    graded_component,
+)
+from nlie.trees import canonicalize
+
+
+def _expand_terms(terms, index_of):
+    """The nested route: canonicalize each whole tree, then look its column
+    up by the nested tree."""
+    row = {}
+    for coeff, tree in terms:
+        sign, ct = canonicalize(tree)
+        if sign == 0:
+            continue
+        j = index_of[ct]
+        nv = row.get(j, Fraction(0)) + coeff * sign
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+    return row
+
+
+def _relabel(tree, perm):
+    if isinstance(tree, int):
+        return perm[tree]
+    return tuple(_relabel(child, perm) for child in tree)
+
+
+def _inversion_reference(seq):
+    ordered = tuple(sorted(seq))
+    if len(set(seq)) < len(seq):
+        return 0, ordered
+    inversions = sum(1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return (-1) ** inversions, ordered
+
+
+def _nested_of(table, w):
+    """id -> nested tree for every tree of weight <= w."""
+    return {
+        table.starts[v] + i: t for v in range(1, w + 1) for i, t in enumerate(table.layers[v])
+    }
+
+
+def test_flat_int_path_matches_inversion_count():
+    rng = random.Random(20261018)
+    for length in range(2, 6):
+        for _ in range(400):
+            with_repeats = tuple(rng.randint(0, length + 1) for _ in range(length))
+            assert canonicalize(with_repeats) == _inversion_reference(with_repeats)
+            distinct = tuple(rng.sample(range(1, 60), length))
+            assert canonicalize(distinct) == _inversion_reference(distinct)
+
+
+def test_flat_int_path_covers_every_permutation():
+    for length in range(2, 6):
+        for perm in permutations(range(1, length + 1)):
+            assert canonicalize(perm) == _inversion_reference(perm)
+
+
+def test_ids_follow_the_tree_order():
+    table = _tree_ids(3, 4, 4)
+    assert table.starts[1:4] == [1, 5, 9]
+    nested = _nested_of(table, 4)
+    assert [nested[i] for i in range(1, table.starts[5])] == [
+        t for v in range(1, 5) for t in canon_trees(3, 4, v)
+    ]
+    for tree_id, kids in enumerate(table.kids):
+        if kids:
+            assert table.ids[kids] == tree_id
+            assert nested[tree_id] == tuple(nested[k] for k in kids)
+
+
+@pytest.mark.parametrize("n,d,w", [(2, 4, 5), (3, 4, 4), (4, 5, 3)])
+def test_relabelling_map_matches_nested_relabel(n, d, w):
+    """For every sigma in S_d and every canonical tree of weight <= w, the
+    lazily filled id map gives canonicalize(sigma tree)."""
+    table = _tree_ids(n, d, w)
+    nested = _nested_of(table, w)
+    id_of = {t: i for i, t in nested.items()}
+    for images in permutations(range(1, d + 1)):
+        perm = (0,) + images
+        relabel = _relabelling(table, perm)
+        # top-down, so most lookups fill their subtrees first
+        for tree_id in sorted(nested, reverse=True):
+            sign, ct = canonicalize(_relabel(nested[tree_id], perm))
+            assert relabel(tree_id) == (sign, id_of[ct])
+
+
+@pytest.mark.parametrize("n,d,w", [(2, 4, 6), (2, 2, 8), (3, 4, 5), (3, 5, 4), (4, 5, 4)])
+def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
+    rng = random.Random(1000 * n + 10 * d + w)
+    component = graded_component(n, d, w)
+    table = _tree_ids(n, d, w)
+    nested = _nested_of(table, w)
+    start = table.starts[w]
+    pool = table.pool(w)
+
+    def as_trees(ids):
+        return tuple(nested[i] for i in ids)
+
+    nonzero = 0
+    for u in range(2, w):
+        all_ts = list(_weighted_tuples(pool, n, u + n - 2))
+        all_ss = list(_weighted_tuples(pool, n - 1, w - u + n - 2))
+        if not all_ts or not all_ss:
+            continue
+        for _ in range(40):
+            ts, ss = rng.choice(all_ts), rng.choice(all_ss)
+            terms = [(1, (as_trees(ts),) + as_trees(ss))]
+            for i in range(n):
+                replaced = list(as_trees(ts))
+                replaced[i] = (replaced[i],) + as_trees(ss)
+                terms.append((-1, tuple(replaced)))
+            want = _expand_terms(terms, component.tree_index)
+            assert _instance_row(ts, ss, table.ids, start) == want, (ts, ss)
+            nonzero += bool(want)
+
+    for v in range(3, w):
+        lower = graded_component(n, d, v)
+        payloads = list(_weighted_tuples(pool, n - 1, w - v + n - 2))
+        if not lower.relations.basis or not payloads:
+            continue
+        for _ in range(40):
+            relation = rng.choice(lower.relations.basis)
+            payload = rng.choice(payloads)
+            terms = [
+                (x, (lower.trees[col],) + as_trees(payload)) for col, x in relation.items()
+            ]
+            want = _expand_terms(terms, component.tree_index)
+            got = _wrapped_row(relation, table.starts[v], payload, table.ids, start)
+            assert got == want, (v, payload)
+            nonzero += bool(want)
+    assert nonzero >= 40
+
+
+def test_clear_caches_empties_every_module_memo():
+    graded_component(2, 3, 4)
+    free_nilpotent(2, 2, 3)
+    memos = {
+        name: obj
+        for name, obj in vars(free_algebra).items()
+        if not name.startswith("__") and isinstance(obj, (dict, list, set))
+    }
+    assert set(memos) == {"_TREE_IDS", "_COMPONENT_CACHE", "_FREE_CACHE"}
+    assert all(memos.values())
+    free_algebra.clear_caches()
+    assert not any(memos.values())
