@@ -493,6 +493,8 @@ def main(argv=None) -> int:
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get("NLIE_CACHE_DIR")
     set_component_cache_dir(cache_dir or None)
     try:
+        if args.max_trees < 1:
+            raise InputError("--max-trees must be at least 1")
         return args.func(args)
     except (ValueError, ResourceLimitError, GridLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,10 +34,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .algebra import StructureAlgebra
-from .linalg import SpanBuilder, Subspace, frac_str
+from .linalg import SpanBuilder, Subspace, _integral, frac_str
 from .trees import Tree, canonicalize, tree_from_json, tree_to_json, tree_to_str
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 DEFAULT_MAX_TREES = 200_000
@@ -197,11 +196,16 @@ class GradedComponent:
     relations: Subspace
     basis_indices: tuple[int, ...]
     tree_index: dict = field(compare=False, repr=False)
+    basis_position: dict = field(compare=False, repr=False)
 
     @staticmethod
     def build(n: int, d: int, w: int, trees: tuple[Tree, ...], relations: Subspace) -> "GradedComponent":
         tree_index = {t: i for i, t in enumerate(trees)}
-        return GradedComponent(n, d, w, trees, relations, relations.complement_coords(), tree_index)
+        basis_indices = relations.complement_coords()
+        basis_position = {idx: pos for pos, idx in enumerate(basis_indices)}
+        return GradedComponent(
+            n, d, w, trees, relations, basis_indices, tree_index, basis_position
+        )
 
     @property
     def dim(self) -> int:
@@ -218,19 +222,18 @@ class GradedComponent:
 
     def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Coordinates of a weight-w vector over the layer basis."""
-        residue = self.reduce(vec)
-        positions = {idx: pos for pos, idx in enumerate(self.basis_indices)}
-        return {positions[i]: c for i, c in residue.items()}
+        positions = self.basis_position
+        return {positions[i]: c for i, c in self.reduce(vec).items()}
 
 
-def _add_bracket(row: dict[int, Fraction], coeff, kids: tuple[int, ...], ids: dict, start: int) -> None:
+def _add_bracket(row: dict[int, int], coeff, kids: tuple[int, ...], ids: dict, start: int) -> None:
     """Add coeff times the bracket of the interned trees ``kids`` to ``row``,
     whose columns are the ids of one layer minus its ``start``."""
     sign, ct = canonicalize(kids)
     if sign == 0:
         return
     j = ids[ct] - start
-    nv = row.get(j, _F0) + (coeff if sign > 0 else -coeff)
+    nv = row.get(j, 0) + (coeff if sign > 0 else -coeff)
     if nv:
         row[j] = nv
     else:
@@ -239,11 +242,11 @@ def _add_bracket(row: dict[int, Fraction], coeff, kids: tuple[int, ...], ids: di
 
 def _instance_row(
     ts: tuple[int, ...], ss: tuple[int, ...], ids: dict, start: int
-) -> dict[int, Fraction]:
+) -> dict[int, int]:
     """The identity instance [ts, ss] = sum_i [t_1, ..., [t_i, ss], ..., t_n]
-    as a row, for canonical id tuples ``ts`` (n trees, so itself a canonical
-    tree) and ``ss`` (n - 1 trees)."""
-    row: dict[int, Fraction] = {}
+    as an integer row, for canonical id tuples ``ts`` (n trees, so itself a
+    canonical tree) and ``ss`` (n - 1 trees)."""
+    row: dict[int, int] = {}
     _add_bracket(row, 1, (ids[ts],) + ss, ids, start)
     for i, t in enumerate(ts):
         sign, inner = canonicalize((t,) + ss)
@@ -253,11 +256,11 @@ def _instance_row(
 
 
 def _wrapped_row(
-    relation: dict[int, Fraction], offset: int, payload: tuple[int, ...], ids: dict, start: int
-) -> dict[int, Fraction]:
+    relation: dict[int, int], offset: int, payload: tuple[int, ...], ids: dict, start: int
+) -> dict[int, int]:
     """A lower relation row (columns = ids - ``offset``) in the first slot of
     a bracket with the canonical id tuple ``payload`` in the others."""
-    row: dict[int, Fraction] = {}
+    row: dict[int, int] = {}
     for col, val in relation.items():
         _add_bracket(row, val, (offset + col,) + payload, ids, start)
     return row
@@ -265,7 +268,7 @@ def _wrapped_row(
 
 def _identity_instance_rows(
     n: int, w: int, table: _TreeIds, pool: list[tuple[int, int]], wanted: set[int] | None,
-) -> Iterator[tuple[int, dict[int, Fraction]]]:
+) -> Iterator[tuple[int, dict[int, int]]]:
     """Direct Jacobi-identity instances of weight w on canonical trees, with
     their multidegree keys; only keys in ``wanted`` (all when None)."""
     ids, start = table.ids, table.starts[w]
@@ -290,11 +293,12 @@ def _identity_instance_rows(
 def _wrapped_relation_rows(
     n: int, d: int, w: int, table: _TreeIds, pool: list[tuple[int, int]],
     wanted: set[int] | None, max_trees: int | None,
-) -> Iterator[tuple[int, dict[int, Fraction]]]:
+) -> Iterator[tuple[int, dict[int, int]]]:
     """Relations of weight v < w placed in one slot of a bracket, with
     canonical trees of complementary weights filling the other slots; with
     their multidegree keys, only keys in ``wanted`` (all when None).  Each
-    lower relation row lies in one multidegree, that of its pivot tree."""
+    lower relation row lies in one multidegree, that of its pivot tree, and
+    is wrapped as its integer multiple by the least common denominator."""
     ids, start = table.ids, table.starts[w]
     keys, _ = table.multidegrees(w)
     for v in range(3, w):
@@ -303,7 +307,8 @@ def _wrapped_relation_rows(
             continue
         offset = table.starts[v]
         relations = [
-            (keys[offset + p], row) for p, row in zip(comp.relations.pivots, comp.relations.basis)
+            (keys[offset + p], _integral(row))
+            for p, row in zip(comp.relations.pivots, comp.relations.basis)
         ]
         payload_total = w - v + n - 2
         for payload in _weighted_tuples(pool, n - 1, payload_total):
@@ -319,11 +324,11 @@ def _wrapped_relation_rows(
 
 def _relation_rows(
     n: int, d: int, w: int, max_trees: int | None, wanted: set[int] | None = None
-) -> Iterator[tuple[int, dict[int, Fraction]]]:
-    """Generated relation rows of weight w with their multidegree keys (as
-    encoded by ``_TreeIds.multidegrees``).  A candidate whose key is not in
-    ``wanted`` is skipped before any tree is canonicalized; None keeps
-    every row."""
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Generated integer relation rows of weight w with their multidegree
+    keys (as encoded by ``_TreeIds.multidegrees``).  A candidate whose key
+    is not in ``wanted`` is skipped before any tree is canonicalized; None
+    keeps every row."""
     if w < 3:
         return
     table = _tree_ids(n, d, w, max_trees)
@@ -334,8 +339,8 @@ def _relation_rows(
 
 def filippov_relations(
     n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES
-) -> list[dict[int, Fraction]]:
-    """Every generated relation row of weight w, as sparse coordinate
+) -> list[dict[int, int]]:
+    """Every generated relation row of weight w, as sparse integer coordinate
     vectors over ``canon_trees(n, d, w)``.  Empty for w <= 2 (no identity
     instance fits below weight 3)."""
     return [row for _, row in _relation_rows(n, d, w, max_trees)]
@@ -365,8 +370,8 @@ def _relabelling(table: _TreeIds, perm: tuple[int, ...]) -> Callable[[int], tupl
 
 
 def _transported(
-    rows: tuple[dict[int, Fraction], ...], relabel: Callable[[int], tuple[int, int]], start: int
-) -> list[dict[int, Fraction]]:
+    rows: Iterable[dict[int, int]], relabel: Callable[[int], tuple[int, int]], start: int
+) -> list[dict[int, int]]:
     """``rows`` (columns = ids - ``start``) under the relabelling map
     ``relabel``: each column moves to its image's column, negated on a
     negative sign."""
@@ -470,7 +475,7 @@ def graded_component(
         span = builder.subspace()
         rows.update(zip(span.pivots, span.basis))
         for perm in orbits[block]:
-            moved = _transported(span.basis, _relabelling(table, perm), start)
+            moved = _transported(builder.integer_rows(), _relabelling(table, perm), start)
             image = Subspace.from_vectors(moved, len(trees))
             rows.update(zip(image.pivots, image.basis))
     pivots = tuple(sorted(rows))

@@ -5,12 +5,23 @@ entries; dense sequences are accepted as input and converted.  A subspace is
 stored as its reduced row-echelon basis, which is the unique canonical
 representative of the row space, so subspace equality is plain data
 comparison.  All arithmetic is exact; nothing here ever rounds.
+
+Elimination is fraction-free.  :class:`SpanBuilder` keeps its rows as
+primitive integer dicts (content 1, positive at its own pivot, 0 at every
+other pivot) and reduces by integer cross-multiplication, in the manner of
+Bareiss (Math. Comp. 22, 1968).  Fractions are built only at the boundary:
+an input vector is scaled to integers once on entry, and
+:meth:`SpanBuilder.subspace` and :func:`_upper_block` divide each finished
+row by its pivot entry.
+:meth:`Subspace.reduce` and :func:`apply_rows` work on the finished
+Fraction rows, since their callers need the exact remainder or image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
 
@@ -20,6 +31,7 @@ VectorLike = Union[Sequence, Mapping[int, Fraction]]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_SMALL = {i: Fraction(i) for i in range(-64, 65) if i}
 
 
 class AmbientMismatchError(ValueError):
@@ -74,44 +86,117 @@ def _eliminate(v: SparseVector, rows: Mapping[int, SparseVector]) -> SparseVecto
     return v
 
 
-class SpanBuilder:
-    """Incremental row-space accumulator (sparse, exact).
+def _integral(vec: VectorLike) -> dict[int, int]:
+    """A fresh sparse integer multiple of ``vec``: its entries times their
+    least common denominator, so integer entries pass through unchanged."""
+    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    out: dict[int, int] = {}
+    dens: dict[int, int] = {}
+    for i, c in items:
+        if c:
+            if type(c) is not int:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c.denominator != 1:
+                    dens[i] = c.denominator
+                c = c.numerator
+            out[i] = c
+    if dens:
+        den = lcm(*dens.values())
+        for i in out:
+            out[i] *= den // dens.get(i, 1)
+    return out
 
-    Rows are kept in reduced row-echelon form keyed by pivot column: each
-    new row is reduced against the others and then cleared out of them."""
+
+def _clear(v: dict[int, int], p: int, row: Mapping[int, int]) -> None:
+    """Cancel column ``p`` of the integer vector ``v`` in place by the
+    cross-multiplication v = (row[p]/g) v - (v[p]/g) row, g = gcd(row[p],
+    v[p]), dropping entries that cancel.  Where ``row`` is 0, ``v`` is only
+    scaled, by a positive factor when row[p] > 0."""
+    rp, vp = row[p], v[p]
+    g = gcd(rp, vp)
+    a, b = rp // g, vp // g
+    if a != 1:
+        for col in v:
+            v[col] *= a
+    for col, val in row.items():
+        nv = v.get(col, 0) - b * val
+        if nv:
+            v[col] = nv
+        else:
+            del v[col]
+
+
+def _make_primitive(v: dict[int, int], p: int) -> None:
+    """Divide ``v`` in place by its content, signed so that v[p] > 0."""
+    g = gcd(*v.values())
+    if v[p] < 0:
+        g = -g
+    if g != 1:
+        for col in v:
+            v[col] //= g
+
+
+def _normalized(row: Mapping[int, int], p: int) -> SparseVector:
+    """The reduced echelon row over Q: ``row`` divided by its entry at ``p``.
+    Almost every finished row has pivot entry 1 and small entries, which
+    share the Fractions of ``_SMALL``."""
+    pv = row[p]
+    if pv == 1:
+        small = _SMALL
+        return {col: small.get(x) or Fraction(x) for col, x in row.items()}
+    return {col: Fraction(x, pv) for col, x in row.items()}
+
+
+class SpanBuilder:
+    """Incremental row-space accumulator (sparse, exact, fraction-free).
+
+    Rows are kept keyed by pivot column as primitive integer dicts: content
+    gcd 1, positive at the row's own pivot (its first column) and 0 at every
+    other row's pivot.  That form is unique up to scale, so dividing each
+    row by its pivot entry gives the reduced row-echelon basis over Q;
+    :meth:`subspace` is where those Fractions are built.  A rational input
+    vector is scaled once, on entry, to an integer vector."""
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self._rows: dict[int, SparseVector] = {}
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def residue(self, vec: VectorLike) -> SparseVector:
-        """Reduce ``vec`` against the accumulated rows; the remainder is
-        returned as a sparse dict (empty iff ``vec`` lies in the span)."""
-        return _eliminate(_sparse(vec), self._rows)
-
     def insert(self, vec: VectorLike) -> bool:
-        """Add ``vec`` to the span; True iff the dimension grew."""
-        v = self.residue(vec)
+        """Add ``vec`` to the span; True iff the dimension grew.
+
+        Each row is 0 at every other row's pivot, so clearing one pivot of
+        the new vector only scales its other pivot entries, and a single
+        pass over the pivots present in it reduces it.  The remainder, made
+        primitive, is then cleared out of every row holding its pivot."""
+        rows = self._rows
+        v = _integral(vec)
+        for p in [col for col in v if col in rows]:
+            _clear(v, p, rows[p])
         if not v:
             return False
         if max(v) >= self.ambient:
             raise AmbientMismatchError(f"coordinate {max(v)} outside ambient {self.ambient}")
         p = min(v)
-        pv = v[p]
-        if pv != 1:
-            v = {col: val / pv for col, val in v.items()}
-        for row in [row for row in self._rows.values() if p in row]:
-            _axpy(row, -row[p], v)
-        self._rows[p] = v
+        _make_primitive(v, p)
+        for q, row in rows.items():
+            if p in row:
+                _clear(row, p, v)
+                _make_primitive(row, q)
+        rows[p] = v
         return True
+
+    def integer_rows(self) -> list[dict[int, int]]:
+        """The primitive integer rows, by increasing pivot (not copies)."""
+        return [self._rows[p] for p in sorted(self._rows)]
 
     def subspace(self) -> "Subspace":
         pivots = tuple(sorted(self._rows))
-        return Subspace(self.ambient, tuple(dict(self._rows[p]) for p in pivots), pivots)
+        return Subspace(self.ambient, tuple(_normalized(self._rows[p], p) for p in pivots), pivots)
 
 
 @dataclass(frozen=True)
@@ -186,7 +271,10 @@ def _upper_block(vectors: Iterable[SparseVector], split: int, width: int) -> Sub
     kept = [p for p in sorted(builder._rows) if p >= split]
     return Subspace(
         width,
-        tuple({col - split: x for col, x in builder._rows[p].items()} for p in kept),
+        tuple(
+            {col - split: x for col, x in _normalized(builder._rows[p], p).items()}
+            for p in kept
+        ),
         tuple(p - split for p in kept),
     )
 

@@ -247,6 +247,10 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
         (["series", "heisenberg(1,1)"], "error: arity must be at least 2\n"),
         (["table", "-n", "2", "--d-max", "21", "--w-max", "20"],
          "error: comparison grid has 420 cells, limit is 400\n"),
+        (["graded", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "0"],
+         "error: --max-trees must be at least 1\n"),
+        (["count", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "-1"],
+         "error: --max-trees must be at least 1\n"),
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv) == (2, "", message), argv

@@ -202,6 +202,21 @@ def test_free_nilpotent_table_matches_exhaustive_loop(n, d, k):
     assert list(built.algebra.table.items()) == list(want.items())
 
 
+@pytest.mark.parametrize("n,d,w", [(2, 4, 5), (3, 3, 4)])
+def test_coordinates_are_residue_at_basis_positions(n, d, w):
+    comp = graded_component(n, d, w)
+    rng = random.Random(100 * n + 10 * d + w)
+    probes = [{col: Fraction(1)} for col in range(len(comp.trees))]
+    for _ in range(30):
+        cols = rng.sample(range(len(comp.trees)), min(4, len(comp.trees)))
+        probes.append({col: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for col in cols})
+    for vec in probes:
+        residue = comp.reduce(dict(vec))
+        want = {comp.basis_indices.index(i): c for i, c in residue.items()}
+        assert comp.coordinates(dict(vec)) == want
+    assert comp.basis_position == {i: pos for pos, i in enumerate(comp.basis_indices)}
+
+
 @pytest.mark.parametrize(
     "n,d,k", [(2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 3, 2), (3, 3, 3), (4, 4, 3)]
 )

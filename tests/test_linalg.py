@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import Matrix, Rational
 
 from nlie.linalg import (
     AmbientMismatchError,
     InclusionError,
+    SpanBuilder,
     Subspace,
     left_kernel,
     quotient_dim,
@@ -227,3 +230,115 @@ def test_exactness_no_rounding():
     assert third.basis[0] == {0: Fraction(1)}
     half = Subspace.from_vectors([[Fraction(1, 3), Fraction(1, 2)]], 2)
     assert half.basis == ({0: Fraction(1), 1: Fraction(3, 2)},)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=5, max_cols=5, max_den=50):
+    """Rational rows with mixed denominators up to ``max_den``, plus zero
+    rows and duplicate or rescaled copies of earlier rows."""
+    nc = draw(st.integers(1, max_cols))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, max_den)),
+    )
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc))
+            for _ in range(draw(st.integers(1, max_rows)))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "rescaled"]))
+        if kind == "zero":
+            extra = [Fraction(0)] * nc
+        else:
+            source = draw(st.sampled_from(rows))
+            factor = 1 if kind == "duplicate" else draw(
+                st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, max_den))
+            )
+            extra = [factor * x for x in source]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+def _fraction(x):
+    x = Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+def _sympy_rref(vectors, ncols):
+    """The reduced echelon basis of the row span of ``vectors`` (sympy
+    rows), as a Subspace of F^ncols."""
+    rows = [v for v in vectors if any(v)]
+    if not rows:
+        return Subspace.zero(ncols)
+    reduced, pivots = Matrix(rows).rref()
+    basis = tuple(
+        {c: _fraction(reduced[i, c]) for c in range(ncols) if reduced[i, c] != 0}
+        for i in range(len(pivots))
+    )
+    return Subspace(ncols, basis, tuple(pivots))
+
+
+def _sympy_rows(rows):
+    return [[Rational(x.numerator, x.denominator) for x in row] for row in rows]
+
+
+@given(rational_matrices(max_rows=6, max_cols=6))
+def test_from_vectors_matches_sympy_rref(rows):
+    ncols = len(rows[0])
+    space = Subspace.from_vectors(rows, ncols)
+    assert space == _sympy_rref(_sympy_rows(rows), ncols)
+    _assert_reduced_echelon(space)
+
+
+@given(rational_matrices(max_rows=5, max_cols=4))
+def test_left_kernel_matches_sympy_nullspace(rows):
+    ncols = len(rows[0])
+    null = Matrix(_sympy_rows(rows)).T.nullspace()
+    want = _sympy_rref([list(v) for v in null], len(rows))
+    assert left_kernel(rows, ncols) == want
+
+
+@given(rational_matrices(max_rows=4, max_cols=5), rational_matrices(max_rows=4, max_cols=5))
+def test_intersection_matches_sympy_nullspace(rows_u, rows_v):
+    ambient = 5
+    rows_u = [row + [Fraction(0)] * (ambient - len(row)) for row in rows_u]
+    rows_v = [row + [Fraction(0)] * (ambient - len(row)) for row in rows_v]
+    u = Subspace.from_vectors(rows_u, ambient)
+    v = Subspace.from_vectors(rows_v, ambient)
+    # x.A = y.B exactly when (x | y) is in the left kernel of [A; -B]
+    a, b = Matrix(_sympy_rows(rows_u)), Matrix(_sympy_rows(rows_v))
+    stacked = Matrix.vstack(a, -b)
+    common = [list(x[: a.rows, 0].T * a) for x in stacked.T.nullspace()]
+    assert subspace_intersect(u, v) == _sympy_rref(common, ambient)
+
+
+def test_hilbert_matrix_rref_is_identity():
+    size = 8
+    hilbert = [[Fraction(1, i + j + 1) for j in range(size)] for i in range(size)]
+    assert Subspace.from_vectors(hilbert, size) == Subspace.full(size)
+    assert left_kernel(hilbert, size) == Subspace.zero(size)
+
+
+def _assert_primitive_rows(builder):
+    """Every builder row is an int dict with content 1, positive at its own
+    pivot (its first column) and 0 at every other row's pivot, and dividing
+    by the pivot entry gives the reduced echelon basis."""
+    rows = builder._rows
+    for p, row in rows.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert not any(q in row for q in rows if q != p)
+    space = builder.subspace()
+    _assert_reduced_echelon(space)
+    for vec, p in zip(space.basis, space.pivots):
+        assert vec == {col: Fraction(x, rows[p][p]) for col, x in rows[p].items()}
+
+
+@given(rational_matrices(max_rows=7, max_cols=6))
+def test_builder_rows_stay_primitive_after_every_insert(rows):
+    ncols = len(rows[0])
+    builder = SpanBuilder(ncols)
+    for i, row in enumerate(rows):
+        grew = builder.insert(row)
+        _assert_primitive_rows(builder)
+        assert grew == (builder.dim == Subspace.from_vectors(rows[:i], ncols).dim + 1)
+    assert builder.subspace() == Subspace.from_vectors(rows, ncols)
