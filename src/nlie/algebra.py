@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 
 from .linalg import (
     AmbientMismatchError,
@@ -21,6 +21,7 @@ from .linalg import (
     SparseVector,
     Subspace,
     _axpy,
+    _integral,
     _sparse,
     left_kernel,
 )
@@ -170,20 +171,37 @@ class StructureAlgebra:
     # content, so it is never mutated after construction.
 
     @cached_property
+    def _ad(self) -> dict[tuple[int, ...], dict[int, dict[int, Fraction]]]:
+        """The maps ad(e_J) : e_i -> [e_i, e_J], as J -> {i: [e_i, e_J]}, for
+        every sorted (n-1)-tuple J with a nonzero bracket.
+
+        Read off the table in one pass: moving args[k] to the front of a
+        table entry ``args`` takes k transpositions, so with J = ``args``
+        without args[k], [e_{args[k]}, e_J] = (-1)^k table[args].  The rows
+        are the table's own (even k) or one negated copy per entry (odd k),
+        so callers must not mutate them."""
+        ad: dict[tuple[int, ...], dict[int, dict[int, Fraction]]] = {}
+        for args, row in self.table.items():
+            negated = {j: -c for j, c in row.items()}
+            for k, i in enumerate(args):
+                ad.setdefault(args[:k] + args[k + 1 :], {})[i] = negated if k % 2 else row
+        return ad
+
+    @cached_property
     def _lower_series(self) -> tuple["AlgebraSubspace", ...]:
-        full = self.full_subspace()
-        chain = [full]
+        maps = _integral_maps(self, self._ad)
+        chain = [self.full_subspace()]
         while True:
             current = chain[-1]
-            nxt = bracket_product(current, *([full] * (self.n - 1)))
+            nxt = AlgebraSubspace(self, _ad_images(self, maps, current.space.basis))
             if nxt.space == current.space:
                 return tuple(chain)
             chain.append(nxt)
 
     @cached_property
     def _upper_series(self) -> tuple["AlgebraSubspace", ...]:
-        tuples = list(combinations(range(self.dim), self.n - 1))
-        return tuple(_upper_central_series(self, tuples))
+        # a tuple missing from _ad brackets everything to zero
+        return tuple(_upper_central_series(self, list(self._ad)))
 
 
 @dataclass(frozen=True)
@@ -260,8 +278,10 @@ def _ad_closure(
     ``tuples``: the smallest subspace holding every [s, x_J] and closed
     under every ad(x_J) : y -> [y, x_J].
 
-    A worklist brackets each vector the span accepts with every x_J once
-    more, so the work is about dim(result) * len(tuples) brackets.
+    A worklist applies every ad(x_J), read from ``alg._ad``, once to each
+    vector the span accepts: about dim(result) * len(tuples) sparse integer
+    matrix-vector products, with no argument sorting and no Fractions until
+    the span's rows are normalized.
 
     Lemma.  Let L be generated by the set X of basis vectors, let
     ``tuples`` be the (n-1)-subsets of X, and let S be a subspace.
@@ -296,16 +316,69 @@ def _ad_closure(
             [U, L, ..., L] with degree below D, so in the closure by
             induction, and the closure is an ideal by (i).
       (iii) The inner bracket lies in Z by induction, and Z is an ideal.
+
+    Scaling.  Each ad(x_J) is scaled to integers by the lcm of its
+    denominators, and the start vectors by theirs.  For nonzero constants
+    a_J, the maps a_J ad(x_J) send every vector to a multiple of its image
+    under ad(x_J), so a subspace is closed under the one family iff it is
+    under the other, and the closure's span is unchanged.
     """
+    maps = _integral_maps(alg, tuples)
     builder = SpanBuilder(alg.dim)
-    units = [[{j: _F1} for j in tup] for tup in tuples]
-    todo = list(start)
+    todo = [_integral(vec) for vec in start]
     while todo:
         vec = todo.pop()
-        for args in units:
-            value = alg.bracket(vec, *args)
+        for ad in maps:
+            value = _apply_map(ad, vec)
             if builder.insert(value):
                 todo.append(value)
+    return builder.subspace()
+
+
+def _integral_maps(alg: StructureAlgebra, tuples) -> list[dict[int, dict[int, int]]]:
+    """The maps ad(x_J) for the J in ``tuples`` with a nonzero map, each
+    scaled to integers by the lcm of its denominators."""
+    maps = []
+    for tup in tuples:
+        ad = alg._ad.get(tup)
+        if ad is None:
+            continue
+        den = lcm(*(c.denominator for row in ad.values() for c in row.values()))
+        maps.append(
+            {i: {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+             for i, row in ad.items()}
+        )
+    return maps
+
+
+def _apply_map(ad: dict[int, dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    """The image of ``vec`` under the map sending e_i to ``ad[i]`` (exact,
+    for int or Fraction entries alike), with cancelled entries dropped."""
+    out: dict[int, int] = {}
+    for i, c in vec.items():
+        row = ad.get(i)
+        if row:
+            for j, x in row.items():
+                nv = out.get(j, 0) + c * x
+                if nv:
+                    out[j] = nv
+                else:
+                    del out[j]
+    return out
+
+
+def _ad_images(
+    alg: StructureAlgebra, maps: list[dict[int, dict[int, int]]], vectors
+) -> Subspace:
+    """[S, L, ..., L] for S spanned by ``vectors``, given ``maps``, the
+    integral ad(e_J) for every J with a nonzero map: by multilinearity and
+    antisymmetry it is spanned by the ad(e_J)(v) for v in ``vectors`` and
+    sorted (n-1)-tuples J."""
+    builder = SpanBuilder(alg.dim)
+    for vec in vectors:
+        vec = _integral(vec)
+        for ad in maps:
+            builder.insert(_apply_map(ad, vec))
     return builder.subspace()
 
 
@@ -352,16 +425,15 @@ def _upper_central_series(
         zk = chain[-1].space
         if zk.dim == dim:
             break
-        # row i holds the classes mod zk of [e_i, tup] for every tuple, one
-        # block of dim columns per tuple; x is central mod zk iff x . rows = 0
+        # row i holds the classes mod zk of [e_i, x_tup] = alg._ad[tup][i]
+        # for every tuple, one block of dim columns per tuple; x is central
+        # mod zk iff x . rows = 0
         rows: list[SparseVector] = [{} for _ in range(dim)]
         for t, tup in enumerate(tuples):
             offset = t * dim
-            for i in range(dim):
-                value = alg.bracket_basis((i,) + tup)
-                if value:
-                    for j, c in zk.reduce(value).items():
-                        rows[i][offset + j] = c
+            for i, value in alg._ad.get(tup, {}).items():
+                for j, c in (zk.reduce(value) if zk.dim else value).items():
+                    rows[i][offset + j] = c
         nxt = left_kernel(rows, len(tuples) * dim)
         if nxt == zk:
             break
@@ -389,11 +461,12 @@ def minimal_generators(alg: StructureAlgebra) -> int:
 def is_ideal(alg: StructureAlgebra, sub: AlgebraSubspace) -> bool:
     if sub.parent != alg:
         raise ValueError("subspace does not belong to this algebra")
-    if sub.dim == 0:
-        return True
-    full = alg.full_subspace()
-    prod = bracket_product(sub, *([full] * (alg.n - 1)))
-    return sub.space.contains_subspace(prod.space)
+    # [sub, L, ..., L] is spanned by the ad(e_J)(b), b in the basis of sub
+    return all(
+        sub.space.contains_vector(_apply_map(ad, b))
+        for ad in alg._ad.values()
+        for b in sub.space.basis
+    )
 
 
 # -- constructors ------------------------------------------------------------

@@ -53,7 +53,7 @@ def unit_vector(length: int, index: int) -> Vector:
 def _sparse(vec: VectorLike, length: int | None = None) -> SparseVector:
     """A fresh sparse copy of ``vec``; a dense ``vec`` must have ``length``
     entries when that is given."""
-    if isinstance(vec, Mapping):
+    if type(vec) is dict or isinstance(vec, Mapping):
         items = vec.items()
     elif length is not None and len(vec) != length:
         raise AmbientMismatchError(f"expected vector of length {length}, got {len(vec)}")
@@ -89,7 +89,7 @@ def _eliminate(v: SparseVector, rows: Mapping[int, SparseVector]) -> SparseVecto
 def _integral(vec: VectorLike) -> dict[int, int]:
     """A fresh sparse integer multiple of ``vec``: its entries times their
     least common denominator, so integer entries pass through unchanged."""
-    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    items = vec.items() if type(vec) is dict or isinstance(vec, Mapping) else enumerate(vec)
     out: dict[int, int] = {}
     dens: dict[int, int] = {}
     for i, c in items:

@@ -109,10 +109,10 @@ def canonicalize(tree: Tree) -> tuple[int, Tree]:
     A bracket of generators takes a flat path: ints compare by index, which
     is the generator order, so the children are sorted as they are.
     """
-    if is_generator(tree):
+    if isinstance(tree, int):
         return 1, tree
     for child in tree:
-        if not is_generator(child):
+        if not isinstance(child, int):
             break
     else:
         sign, ordered = _sort_with_sign(tree)

@@ -174,6 +174,8 @@ BOUNDS_SHA256 = {
         "66ec230b1bed97b56fd707ec0b40b1f4fe08ad9c3caaf27f4ad2c6daae140328"),
     3: ("e96cc304c0efe38dbbb8ddc03f40d60754896d2671d878a2c626e89b7812b292",
         "b63165061874224e5d21b21c5f5123794252b87adb5fad48cbbc9facc1529b54"),
+    4: ("76c68606eb751fa1e69f7a0d3143f1dc5e2262b44d664ca18c353c6d7693dd38",
+        "51cbd567d8d4604157f8ae11ffec664fcd60a204e5cc0d0ba05f1a8702ad1eca"),
 }
 
 

@@ -145,7 +145,7 @@ def test_central_series_computed_once_per_instance(monkeypatch):
 
     built = free_nilpotent(2, 2, 3).algebra
     alg = StructureAlgebra(built.n, built.dim, built.basis_names, built.table)
-    calls = {"bracket_product": 0, "_upper_central_series": 0}
+    calls = {"_ad_images": 0, "_upper_central_series": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(algebra_module, name)):
             calls[_name] += 1
@@ -153,10 +153,10 @@ def test_central_series_computed_once_per_instance(monkeypatch):
         monkeypatch.setattr(algebra_module, name, counted)
 
     first = _series_readings(alg)
-    # one bracket product per lower term, the stable one included
-    assert calls == {"bracket_product": 4, "_upper_central_series": 1}
+    # one [S, L, ..., L] span per lower term, the stable one included
+    assert calls == {"_ad_images": 4, "_upper_central_series": 1}
     assert _series_readings(alg) == first
-    assert calls == {"bracket_product": 4, "_upper_central_series": 1}
+    assert calls == {"_ad_images": 4, "_upper_central_series": 1}
 
     fresh = StructureAlgebra(built.n, built.dim, built.basis_names, built.table)
     assert _series_readings(fresh) == first

@@ -163,7 +163,7 @@ def test_heisenberg_c3_multiplier_closed_form():
     assert got == heisenberg_multiplier_dim(2, 2, 3) == 60
 
 
-@pytest.mark.parametrize("n,m,c,want", [(3, 2, 1, 19), (2, 2, 4, 204)])
+@pytest.mark.parametrize("n,m,c,want", [(3, 2, 1, 19), (2, 2, 4, 204), (3, 2, 2, 210)])
 def test_large_heisenberg_multipliers_closed_form(n, m, c, want):
     got = multiplier_report(heisenberg(n, m), c).multiplier_dim
     assert got == heisenberg_multiplier_dim(n, m, c) == want
