@@ -271,24 +271,26 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
 
 
 def _ad_closure(
-    alg: StructureAlgebra, start: tuple[SparseVector, ...], tuples: list[tuple[int, ...]]
+    alg: StructureAlgebra, start: tuple[SparseVector, ...], maps: list[dict[int, dict[int, int]]]
 ) -> Subspace:
     """The span of the brackets [[[s, x_J1], x_J2], ...] with s in ``start``,
     at least one x_J applied, where x_J is the basis (n-1)-tuple J from
-    ``tuples``: the smallest subspace holding every [s, x_J] and closed
-    under every ad(x_J) : y -> [y, x_J].
+    ``tuples`` and ``maps`` is ``_integral_maps(alg, tuples)``: the smallest
+    subspace holding every [s, x_J] and closed under every
+    ad(x_J) : y -> [y, x_J].
 
-    A worklist applies every ad(x_J), read from ``alg._ad``, once to each
-    vector the span accepts: about dim(result) * len(tuples) sparse integer
-    matrix-vector products, with no argument sorting and no Fractions until
-    the span's rows are normalized.
+    A worklist applies every ad(x_J) once to each vector the span accepts:
+    about dim(result) * len(tuples) sparse integer matrix-vector products,
+    with no argument sorting and no Fractions until the span's rows are
+    normalized.  Callers closing several subspaces under the same tuples
+    build ``maps`` once.
 
     Lemma.  Let L be generated by the set X of basis vectors, let
     ``tuples`` be the (n-1)-subsets of X, and let S be a subspace.
       (i)   The closure S* of S under every ad(x_J) is an ideal of L.
       (ii)  If U is an ideal, the closure of [U, X, ..., X] is
-            [U, L, ..., L], so ``_ad_closure(alg, U, tuples)`` is
-            [U, L, ..., L].
+            [U, L, ..., L], so the closure of U under the maps of
+            ``tuples`` is [U, L, ..., L].
       (iii) If Z is an ideal and [z, x_J] lies in Z for every J, then
             [z, y_1, ..., y_{n-1}] lies in Z for all y in L: z is central
             modulo Z.
@@ -323,7 +325,6 @@ def _ad_closure(
     under ad(x_J), so a subspace is closed under the one family iff it is
     under the other, and the closure's span is unchanged.
     """
-    maps = _integral_maps(alg, tuples)
     builder = SpanBuilder(alg.dim)
     todo = [_integral(vec) for vec in start]
     while todo:

@@ -207,7 +207,7 @@ def cmd_graded(args) -> int:
         "d": args.d,
         "w": args.w,
         "canonical_trees": len(component.trees),
-        "relation_rank": component.relations.dim,
+        "relation_rank": component.rank,
         "dim": component.dim,
     }
     if args.basis:

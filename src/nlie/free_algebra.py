@@ -10,7 +10,9 @@ The relations never change the multiset of generator leaves, so a layer is
 eliminated one multidegree block at a time, and only one block per orbit of
 the generator permutations is generated (see :func:`graded_component`).
 The layer dimension computed this way is the rank oracle used everywhere
-else as ground truth for graded dimensions.
+else as ground truth for graded dimensions; it is read off the orbit
+representatives, and a layer's reduced echelon basis is built only when
+something reads it (see :class:`GradedComponent`).
 
 Inside the module every canonical tree is an int id.  Per (n, d), one
 :class:`_TreeIds` table, grown weight by weight, numbers the canonical
@@ -29,12 +31,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .algebra import StructureAlgebra
-from .linalg import SpanBuilder, Subspace, _integral, frac_str
+from .linalg import SpanBuilder, Subspace, _integral, _normalized, frac_str
 from .trees import Tree, canonicalize, tree_from_json, tree_to_json, tree_to_str
 
 _F1 = Fraction(1)
@@ -63,6 +66,16 @@ def _key_base(n: int, w: int) -> int:
     number of leaves of a weight-w tree, so no digit of a tree of weight
     <= w overflows."""
     return (w - 1) * (n - 1) + 2
+
+
+def _digits(key: int, base: int, d: int) -> tuple[int, ...]:
+    """The multidegree (m_1, ..., m_d) that ``key`` encodes in ``base``."""
+    return tuple(key // base**i % base for i in range(d))
+
+
+def _encoded(m: tuple[int, ...], base: int) -> int:
+    """The key of the multidegree ``m`` in ``base``: sum_g m_g * base**(g-1)."""
+    return sum(x * base**i for i, x in enumerate(m))
 
 
 class _TreeIds:
@@ -185,31 +198,108 @@ def _weighted_tuples(
     yield from rec(0, slots, total)
 
 
-@dataclass(frozen=True)
 class GradedComponent:
-    """One weight layer of the free n-Lie algebra on d generators."""
+    """One weight layer of the free n-Lie algebra on d generators.
 
-    n: int
-    d: int
-    w: int
-    trees: tuple[Tree, ...]
-    relations: Subspace
-    basis_indices: tuple[int, ...]
-    tree_index: dict = field(compare=False, repr=False)
-    basis_position: dict = field(compare=False, repr=False)
+    The relation span R_w is kept as integer rows per multidegree block,
+    keyed by the multidegree (m_1, ..., m_d): the builder's primitive rows
+    for each orbit representative, and for every other block of its orbit
+    a relabelling ``moves[m] = (representative, perm)`` applied only when
+    :meth:`block_rows` first asks for that block (then kept here).  Each
+    block's rows are a basis of its part of R_w, so ``rank`` is known at
+    once.  The reduced echelon basis (``relations``), the layer basis
+    (``basis_indices``, ``basis_position``) and the tree index are built
+    on first read and kept on the object; dimension-only callers never
+    build them.  A component loaded from the disk cache holds its reduced
+    echelon rows as its blocks, grouped by the multidegree of their pivot
+    tree, and no moves.
+    """
+
+    def __init__(
+        self, n: int, d: int, w: int, table: "_TreeIds",
+        blocks: dict[tuple[int, ...], list[dict[int, int]]],
+        moves: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]],
+        relations: Subspace | None = None,
+    ):
+        self.n, self.d, self.w = n, d, w
+        self.trees: tuple[Tree, ...] = table.layers[w]
+        self.rank = sum(map(len, blocks.values())) + sum(
+            len(blocks[rep]) for rep, _ in moves.values()
+        )
+        self.block_keys = tuple(sorted(blocks.keys() | moves.keys()))
+        self._table = table
+        self._blocks = blocks
+        self._moves = moves
+        if relations is not None:
+            self.relations = relations
 
     @staticmethod
-    def build(n: int, d: int, w: int, trees: tuple[Tree, ...], relations: Subspace) -> "GradedComponent":
-        tree_index = {t: i for i, t in enumerate(trees)}
-        basis_indices = relations.complement_coords()
-        basis_position = {idx: pos for pos, idx in enumerate(basis_indices)}
-        return GradedComponent(
-            n, d, w, trees, relations, basis_indices, tree_index, basis_position
+    def build(
+        n: int, d: int, w: int, table: "_TreeIds", base: int,
+        builders: dict[int, SpanBuilder], orbits: dict[int, list[tuple[int, tuple[int, ...]]]],
+    ) -> "GradedComponent":
+        """The component of the representatives' ``builders`` (by block key
+        in ``base``) and the relabellings ``orbits`` onto the other blocks."""
+        blocks = {_digits(rep, base, d): b.integer_rows() for rep, b in builders.items()}
+        moves = {
+            _digits(key, base, d): (_digits(rep, base, d), perm)
+            for rep in builders for key, perm in orbits[rep]
+        }
+        return GradedComponent(n, d, w, table, blocks, moves)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedComponent):
+            return NotImplemented
+        return (self.n, self.d, self.w, self.trees, self.relations) == (
+            other.n, other.d, other.w, other.trees, other.relations
         )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d, self.w))
+
+    def block_rows(self, m: tuple[int, ...]) -> list[dict[int, int]]:
+        """Integer rows forming a basis of the multidegree-m part of R_w
+        (columns = layer positions); not copies."""
+        rows = self._blocks.get(m)
+        if rows is None:
+            rep, perm = self._moves[m]
+            table = self._table
+            rows = self._blocks[m] = _transported(
+                self._blocks[rep], _relabelling(table, perm), table.starts[self.w]
+            )
+        return rows
+
+    @cached_property
+    def relations(self) -> Subspace:
+        """The reduced echelon basis of R_w: each representative's rows
+        divided by their pivots, and one elimination of the relabelled rows
+        of every other block (the blocks have disjoint columns)."""
+        width = len(self.trees)
+        rows: dict[int, dict[int, Fraction]] = {}
+        for m in self.block_keys:
+            if m in self._moves:
+                span = Subspace.from_vectors(self.block_rows(m), width)
+                rows.update(zip(span.pivots, span.basis))
+            else:
+                rows.update((min(r), _normalized(r, min(r))) for r in self._blocks[m])
+        pivots = tuple(sorted(rows))
+        return Subspace(width, tuple(rows[p] for p in pivots), pivots)
+
+    @cached_property
+    def basis_indices(self) -> tuple[int, ...]:
+        return self.relations.complement_coords()
+
+    @cached_property
+    def basis_position(self) -> dict[int, int]:
+        return {idx: pos for pos, idx in enumerate(self.basis_indices)}
+
+    @cached_property
+    def tree_index(self) -> dict[Tree, int]:
+        return {t: i for i, t in enumerate(self.trees)}
 
     @property
     def dim(self) -> int:
-        return len(self.basis_indices)
+        return len(self.trees) - self.rank
 
     @property
     def basis_trees(self) -> tuple[Tree, ...]:
@@ -296,30 +386,29 @@ def _wrapped_relation_rows(
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Relations of weight v < w placed in one slot of a bracket, with
     canonical trees of complementary weights filling the other slots; with
-    their multidegree keys, only keys in ``wanted`` (all when None).  Each
-    lower relation row lies in one multidegree, that of its pivot tree, and
-    is wrapped as its integer multiple by the least common denominator."""
+    their multidegree keys, only keys in ``wanted`` (all when None).  The
+    lower relations are the integer block rows of each lower component
+    (a basis of R_v, see :func:`graded_component`); a block is skipped, and
+    never relabelled, unless some payload takes it to a wanted key."""
     ids, start = table.ids, table.starts[w]
-    keys, _ = table.multidegrees(w)
+    keys, base = table.multidegrees(w)
     for v in range(3, w):
         comp = graded_component(n, d, v, max_trees)
-        if comp.relations.dim == 0:
+        if not comp.block_keys:
             continue
+        blocks = [(_encoded(m, base), m) for m in comp.block_keys]
         offset = table.starts[v]
-        relations = [
-            (keys[offset + p], _integral(row))
-            for p, row in zip(comp.relations.pivots, comp.relations.basis)
-        ]
         payload_total = w - v + n - 2
         for payload in _weighted_tuples(pool, n - 1, payload_total):
             p_key = sum(keys[t] for t in payload)
-            for r_key, relation in relations:
+            for r_key, m in blocks:
                 key = r_key + p_key
                 if wanted is not None and key not in wanted:
                     continue
-                row = _wrapped_row(relation, offset, payload, ids, start)
-                if row:
-                    yield key, row
+                for relation in comp.block_rows(m):
+                    row = _wrapped_row(relation, offset, payload, ids, start)
+                    if row:
+                        yield key, row
 
 
 def _relation_rows(
@@ -390,19 +479,22 @@ def _transported(
     return out
 
 
-def _orbits(block_keys: Iterable[int], base: int, d: int) -> dict[int, list[tuple[int, ...]]]:
+def _orbits(
+    block_keys: Iterable[int], base: int, d: int
+) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
     """Group the multidegree keys of a layer's blocks by S_d orbit.  Maps
-    the key of each orbit's nonincreasing multidegree r to one relabelling
-    perm onto every other block m of the orbit (perm[g] is the new label of
-    generator g, perm[0] unused): m[perm[i+1]-1] = r[i]."""
-    orbits: dict[int, list[tuple[int, ...]]] = {}
+    the key of each orbit's nonincreasing multidegree r to a pair (key,
+    perm) for every other block m of the orbit, perm relabelling r onto m
+    (perm[g] is the new label of generator g, perm[0] unused):
+    m[perm[i+1]-1] = r[i]."""
+    orbits: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for key in block_keys:
-        m = [key // base**i % base for i in range(d)]
+        m = _digits(key, base, d)
         order = sorted(range(d), key=lambda j: -m[j])
         r_key = sum(m[j] * base**i for i, j in enumerate(order))
-        perms = orbits.setdefault(r_key, [])
+        moves = orbits.setdefault(r_key, [])
         if r_key != key:
-            perms.append((0,) + tuple(j + 1 for j in order))
+            moves.append((key, (0,) + tuple(j + 1 for j in order)))
     return orbits
 
 
@@ -428,24 +520,37 @@ def graded_component(
     vectors of its children (that is what canonicalizing computes), and
     relabelling commutes with bracketing, so by induction on the tree
     sigma maps the vector of any tree t to the vector of sigma t: sigma
-    commutes with expanding a formal sum of trees.  An identity instance J(ts, ss) therefore maps to
-    J(sigma ts, sigma ss).  J is multilinear and alternating in ts and in
-    ss separately, so that is +-J(ts', ss'), where ts' and ss' are the
-    canonical forms of sigma ts and sigma ss sorted ascending: the
-    generated instance on pool tuples of the same weights.  By induction
-    on the weight, sigma R_v = R_v for v < w (there is nothing below
-    weight 3).  A wrapped row [r, p] with r in R_v maps to
-    [sigma r, sigma p] = +-[sigma r, p'] for the sorted canonical payload
-    p'; sigma r is a combination of the basis rows of R_v, so this is a
-    combination of the generated rows [b, p'].  So sigma maps a spanning
+    commutes with expanding a formal sum of trees.  An identity instance
+    J(ts, ss) therefore maps to J(sigma ts, sigma ss).  J is multilinear
+    and alternating in ts and in ss separately, so that is +-J(ts', ss'),
+    where ts' and ss' are the canonical forms of sigma ts and sigma ss
+    sorted ascending: the generated instance on pool tuples of the same
+    weights.  By induction on the weight, sigma R_v = R_v for v < w (there
+    is nothing below weight 3).  A wrapped row [r, p] with r in R_v maps
+    to [sigma r, sigma p] = +-[sigma r, p'] for the sorted canonical
+    payload p'; sigma r is a combination of any basis b of R_v, so this is
+    a combination of the generated rows [b, p'].  So sigma maps a spanning
     set of R_w into R_w, and sigma R_w = R_w since sigma is invertible.
     Relabelling sends multidegree m to sigma m, which gives the block
     statement.
 
+    Rank and basis.  sigma is a signed permutation of the columns, so it
+    is invertible and carries R_w(m) isomorphically onto R_w(sigma m): the
+    relabelled rows of any basis of R_w(m) are a basis of R_w(sigma m),
+    and rank R_w(sigma m) = rank R_w(m).  The blocks of a layer are closed
+    under S_d (relabelling is a bijection on its canonical trees), so
+    rank R_w is the sum over the nonincreasing multidegrees r of
+    rank R_w(r) times the size of the S_d orbit of r.
+
     So rows are generated only for the nonincreasing multidegrees, one
-    per S_d orbit, and each is eliminated in its own builder.  Every
-    other block of the orbit gets the representative's reduced echelon
-    rows relabelled, re-reduced in its own column order.  The blocks have
+    per S_d orbit, and each is eliminated in its own builder; its
+    primitive integer rows are a basis of that block.  Every other block
+    of the orbit holds the representative's rows relabelled, with no
+    re-reduction (:class:`GradedComponent` does that relabelling on first
+    use).  The next weight wraps these block rows as they are: wrapping is
+    linear in the lower row, so any basis of R_v generates the same R_w.
+    Only the reduced echelon basis of R_w needs one more elimination per
+    non-representative block, in its own column order.  The blocks have
     disjoint columns, so the union of their reduced echelon rows, sorted
     by pivot, is the reduced echelon basis of R_w: the same unique basis
     one elimination of all generated rows gives (``filippov_relations``
@@ -460,27 +565,17 @@ def graded_component(
         _COMPONENT_CACHE[key] = loaded
         return loaded
     table = _tree_ids(n, d, w, max_trees)
-    trees = table.layers[w]
+    width = len(table.layers[w])
     start = table.starts[w]
     keys, base = table.multidegrees(w)
-    orbits = _orbits(set(keys[start:start + len(trees)]), base, d)
-    blocks: dict[int, SpanBuilder] = {}
+    orbits = _orbits(set(keys[start:start + width]), base, d)
+    builders: dict[int, SpanBuilder] = {}
     for block, row in _relation_rows(n, d, w, max_trees, set(orbits)):
-        builder = blocks.get(block)
+        builder = builders.get(block)
         if builder is None:
-            builder = blocks[block] = SpanBuilder(len(trees))
+            builder = builders[block] = SpanBuilder(width)
         builder.insert(row)
-    rows: dict[int, dict[int, Fraction]] = {}
-    for block, builder in blocks.items():
-        span = builder.subspace()
-        rows.update(zip(span.pivots, span.basis))
-        for perm in orbits[block]:
-            moved = _transported(builder.integer_rows(), _relabelling(table, perm), start)
-            image = Subspace.from_vectors(moved, len(trees))
-            rows.update(zip(image.pivots, image.basis))
-    pivots = tuple(sorted(rows))
-    relations = Subspace(len(trees), tuple(rows[p] for p in pivots), pivots)
-    component = GradedComponent.build(n, d, w, trees, relations)
+    component = GradedComponent.build(n, d, w, table, base, builders, orbits)
     _COMPONENT_CACHE[key] = component
     _store_component(component)
     return component
@@ -630,8 +725,15 @@ def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | 
             rows.append(row)
         if not _reduced_echelon(rows, pivots, len(trees)):
             return None
+        # the rows become the blocks, grouped by their pivot's multidegree
+        table = _TREE_IDS[(n, d)]
+        keys, base = table.multidegrees(w)
+        start = table.starts[w]
+        blocks: dict[tuple[int, ...], list[dict[int, int]]] = {}
+        for p, row in zip(pivots, rows):
+            blocks.setdefault(_digits(keys[start + p], base, d), []).append(_integral(row))
         relations = Subspace(len(trees), tuple(rows), pivots)
-        comp = GradedComponent.build(n, d, w, trees, relations)
+        comp = GradedComponent(n, d, w, table, blocks, {}, relations)
         if comp.dim != obj["dim"] or list(comp.basis_indices) != obj["basis_indices"]:
             return None
         return comp
@@ -685,6 +787,10 @@ def clear_caches() -> None:
     tables (``_TREE_IDS``, which also hold what :func:`canon_trees`
     returns), the graded components (``_COMPONENT_CACHE``) and the free
     nilpotent quotients (``_FREE_CACHE``).  The disk cache is untouched.
+    What a component builds lazily (its relabelled blocks, ``relations``,
+    ``basis_indices``, ``basis_position`` and ``tree_index``) is kept on
+    the component itself, so it goes with these memos: the next call
+    builds a fresh component with none of it.
 
     The tree-order memos ``trees._KEY_CACHE`` and ``trees._WEIGHT_CACHE``
     are deliberately left warm: clearing them here would change what the

@@ -26,6 +26,7 @@ from .algebra import (
     NotNilpotentError,
     StructureAlgebra,
     _ad_closure,
+    _integral_maps,
     _quotient,
     _upper_central_series,
     gamma_term,
@@ -154,10 +155,10 @@ def gamma_ideal_chain(p: Presentation) -> list[AlgebraSubspace]:
     and every U_j is an ideal).
     """
     free_alg = p.free.algebra
-    tuples = _generator_tuples(p)
+    maps = _integral_maps(free_alg, _generator_tuples(p))
     chain = [p.kernel]
     for _ in range(p.c):
-        closure = _ad_closure(free_alg, chain[-1].space.basis, tuples)
+        closure = _ad_closure(free_alg, chain[-1].space.basis, maps)
         chain.append(AlgebraSubspace(free_alg, closure))
     return chain
 

@@ -150,7 +150,7 @@ def test_closure_and_ideal_test_match_bracket_loops(alg):
     rng = random.Random(alg.dim * 31 + alg.n)
     all_tuples = list(combinations(range(alg.dim), alg.n - 1))
     for start in (_random_vectors(rng, alg.dim, 2), [{i: _F1} for i in range(min(alg.dim, 2))]):
-        got = _ad_closure(alg, tuple(start), all_tuples)
+        got = _ad_closure(alg, tuple(start), _integral_maps(alg, all_tuples))
         assert got == _closure_reference(alg, start, all_tuples)
         # the closure is an ideal (part (i) of the lemma); a random line
         # usually is not, and the two tests must agree on it as well
@@ -164,7 +164,8 @@ def test_closure_and_ideal_test_match_bracket_loops(alg):
     sources = sorted({i for rows in alg._ad.values() for i in rows})
     for tup in sorted(alg._ad)[:6]:
         start = [{a: _F1, b: Fraction(-2, 3)} for a, b in combinations(sources[:4], 2)]
-        assert _ad_closure(alg, tuple(start), [tup]) == _closure_reference(alg, start, [tup])
+        got = _ad_closure(alg, tuple(start), _integral_maps(alg, [tup]))
+        assert got == _closure_reference(alg, start, [tup])
 
 
 @pytest.mark.parametrize("seed", [3, 8])

@@ -162,5 +162,14 @@ def test_clear_caches_empties_every_module_memo():
     }
     assert set(memos) == {"_TREE_IDS", "_COMPONENT_CACHE", "_FREE_CACHE"}
     assert all(memos.values())
+    # the lazily built parts of a component are kept on the component
+    warm = graded_component(2, 3, 4)
+    warm.relations, warm.basis_position, warm.tree_index
+    assert {"relations", "basis_indices", "basis_position", "tree_index"} <= set(vars(warm))
+    assert set(warm._moves) <= set(warm._blocks)
     free_algebra.clear_caches()
     assert not any(memos.values())
+    cold = graded_component(2, 3, 4)
+    assert cold is not warm and cold.rank == warm.rank
+    assert not {"relations", "basis_indices", "basis_position", "tree_index"} & set(vars(cold))
+    assert cold._moves and not set(cold._moves) & set(cold._blocks)
