@@ -202,50 +202,44 @@ class GradedComponent:
     """One weight layer of the free n-Lie algebra on d generators.
 
     The relation span R_w is kept as integer rows per multidegree block,
-    keyed by the multidegree (m_1, ..., m_d): the builder's primitive rows
-    for each orbit representative, and for every other block of its orbit
-    a relabelling ``moves[m] = (representative, perm)`` applied only when
-    :meth:`block_rows` first asks for that block (then kept here).  Each
-    block's rows are a basis of its part of R_w, so ``rank`` is known at
-    once.  The reduced echelon basis (``relations``), the layer basis
-    (``basis_indices``, ``basis_position``) and the tree index are built
-    on first read and kept on the object; dimension-only callers never
-    build them.  A component loaded from the disk cache holds its reduced
-    echelon rows as its blocks, grouped by the multidegree of their pivot
-    tree, and no moves.
+    keyed by the multidegree (m_1, ..., m_d) and listed in ``block_keys``
+    (the blocks with relations): the builder's primitive rows for each
+    orbit representative, and for every other block the representative's
+    rows relabelled (:func:`_orbit_move`) when :meth:`block_rows` first
+    asks for them, then kept here.  Each block's rows are a basis of its
+    part of R_w, so ``rank`` is known at once.  The reduced echelon basis
+    (``relations``), the layer basis (``basis_indices``,
+    ``basis_position``) and the tree index are built on first read and
+    kept on the object; dimension-only callers never build them.  A
+    component loaded from the disk cache holds its reduced echelon rows as
+    its blocks, grouped by the multidegree of their pivot tree.
     """
 
     def __init__(
         self, n: int, d: int, w: int, table: "_TreeIds",
         blocks: dict[tuple[int, ...], list[dict[int, int]]],
-        moves: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]],
-        relations: Subspace | None = None,
+        block_keys: Iterable[tuple[int, ...]], relations: Subspace | None = None,
     ):
         self.n, self.d, self.w = n, d, w
         self.trees: tuple[Tree, ...] = table.layers[w]
-        self.rank = sum(map(len, blocks.values())) + sum(
-            len(blocks[rep]) for rep, _ in moves.values()
-        )
-        self.block_keys = tuple(sorted(blocks.keys() | moves.keys()))
+        self.block_keys = tuple(sorted(block_keys))
+        self.rank = sum(len(blocks[_representative(m)]) for m in self.block_keys)
         self._table = table
         self._blocks = blocks
-        self._moves = moves
         if relations is not None:
             self.relations = relations
 
     @staticmethod
     def build(
         n: int, d: int, w: int, table: "_TreeIds", base: int,
-        builders: dict[int, SpanBuilder], orbits: dict[int, list[tuple[int, tuple[int, ...]]]],
+        builders: dict[int, SpanBuilder], block_keys: Iterable[tuple[int, ...]],
     ) -> "GradedComponent":
-        """The component of the representatives' ``builders`` (by block key
-        in ``base``) and the relabellings ``orbits`` onto the other blocks."""
-        blocks = {_digits(rep, base, d): b.integer_rows() for rep, b in builders.items()}
-        moves = {
-            _digits(key, base, d): (_digits(rep, base, d), perm)
-            for rep in builders for key, perm in orbits[rep]
-        }
-        return GradedComponent(n, d, w, table, blocks, moves)
+        """The component of a layer with the multidegree blocks
+        ``block_keys`` from the representatives' ``builders`` (keyed by
+        block key in ``base``)."""
+        reps = {_digits(key, base, d): b.integer_rows() for key, b in builders.items()}
+        kept = [m for m in block_keys if _representative(m) in reps]
+        return GradedComponent(n, d, w, table, reps, kept)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedComponent):
@@ -262,7 +256,7 @@ class GradedComponent:
         (columns = layer positions); not copies."""
         rows = self._blocks.get(m)
         if rows is None:
-            rep, perm = self._moves[m]
+            rep, perm = _orbit_move(m)
             table = self._table
             rows = self._blocks[m] = _transported(
                 self._blocks[rep], _relabelling(table, perm), table.starts[self.w]
@@ -277,11 +271,11 @@ class GradedComponent:
         width = len(self.trees)
         rows: dict[int, dict[int, Fraction]] = {}
         for m in self.block_keys:
-            if m in self._moves:
+            if _representative(m) == m:
+                rows.update((min(r), _normalized(r, min(r))) for r in self._blocks[m])
+            else:
                 span = Subspace.from_vectors(self.block_rows(m), width)
                 rows.update(zip(span.pivots, span.basis))
-            else:
-                rows.update((min(r), _normalized(r, min(r))) for r in self._blocks[m])
         pivots = tuple(sorted(rows))
         return Subspace(width, tuple(rows[p] for p in pivots), pivots)
 
@@ -479,23 +473,18 @@ def _transported(
     return out
 
 
-def _orbits(
-    block_keys: Iterable[int], base: int, d: int
-) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
-    """Group the multidegree keys of a layer's blocks by S_d orbit.  Maps
-    the key of each orbit's nonincreasing multidegree r to a pair (key,
-    perm) for every other block m of the orbit, perm relabelling r onto m
-    (perm[g] is the new label of generator g, perm[0] unused):
-    m[perm[i+1]-1] = r[i]."""
-    orbits: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for key in block_keys:
-        m = _digits(key, base, d)
-        order = sorted(range(d), key=lambda j: -m[j])
-        r_key = sum(m[j] * base**i for i, j in enumerate(order))
-        moves = orbits.setdefault(r_key, [])
-        if r_key != key:
-            moves.append((key, (0,) + tuple(j + 1 for j in order)))
-    return orbits
+def _representative(m: tuple[int, ...]) -> tuple[int, ...]:
+    """The representative of the S_d orbit of the multidegree m: its
+    nonincreasing rearrangement."""
+    return tuple(sorted(m, reverse=True))
+
+
+def _orbit_move(m: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(r, perm)``: the representative r of the orbit of m and a
+    relabelling perm of r onto m (perm[g] is the new label of generator g,
+    perm[0] unused): m[perm[i+1]-1] = r[i]."""
+    order = sorted(range(len(m)), key=m.__getitem__, reverse=True)
+    return tuple(map(m.__getitem__, order)), (0, *(j + 1 for j in order))
 
 
 def graded_component(
@@ -568,14 +557,15 @@ def graded_component(
     width = len(table.layers[w])
     start = table.starts[w]
     keys, base = table.multidegrees(w)
-    orbits = _orbits(set(keys[start:start + width]), base, d)
+    blocks = {_digits(key, base, d) for key in set(keys[start:start + width])}
+    wanted = {_encoded(_representative(m), base) for m in blocks}
     builders: dict[int, SpanBuilder] = {}
-    for block, row in _relation_rows(n, d, w, max_trees, set(orbits)):
+    for block, row in _relation_rows(n, d, w, max_trees, wanted):
         builder = builders.get(block)
         if builder is None:
             builder = builders[block] = SpanBuilder(width)
         builder.insert(row)
-    component = GradedComponent.build(n, d, w, table, base, builders, orbits)
+    component = GradedComponent.build(n, d, w, table, base, builders, blocks)
     _COMPONENT_CACHE[key] = component
     _store_component(component)
     return component
@@ -733,7 +723,7 @@ def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | 
         for p, row in zip(pivots, rows):
             blocks.setdefault(_digits(keys[start + p], base, d), []).append(_integral(row))
         relations = Subspace(len(trees), tuple(rows), pivots)
-        comp = GradedComponent(n, d, w, table, blocks, {}, relations)
+        comp = GradedComponent(n, d, w, table, blocks, blocks, relations)
         if comp.dim != obj["dim"] or list(comp.basis_indices) != obj["basis_indices"]:
             return None
         return comp

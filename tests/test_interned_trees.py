@@ -12,6 +12,7 @@ from nlie import free_algebra
 from nlie.free_algebra import (
     _instance_row,
     _relabelling,
+    _representative,
     _tree_ids,
     _weighted_tuples,
     _wrapped_row,
@@ -166,10 +167,12 @@ def test_clear_caches_empties_every_module_memo():
     warm = graded_component(2, 3, 4)
     warm.relations, warm.basis_position, warm.tree_index
     assert {"relations", "basis_indices", "basis_position", "tree_index"} <= set(vars(warm))
-    assert set(warm._moves) <= set(warm._blocks)
+    assert set(warm._blocks) == set(warm.block_keys)
     free_algebra.clear_caches()
     assert not any(memos.values())
     cold = graded_component(2, 3, 4)
     assert cold is not warm and cold.rank == warm.rank
     assert not {"relations", "basis_indices", "basis_position", "tree_index"} & set(vars(cold))
-    assert cold._moves and not set(cold._moves) & set(cold._blocks)
+    # only the orbit representatives' rows, nothing relabelled yet
+    assert set(cold._blocks) == {m for m in cold.block_keys if m == _representative(m)}
+    assert set(cold._blocks) < set(cold.block_keys)
