@@ -9,6 +9,7 @@ by :meth:`StructureAlgebra.validate`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -21,8 +22,8 @@ from .linalg import (
     SparseVector,
     Subspace,
     _axpy,
-    _integral,
-    _sparse,
+    _entries,
+    apply_rows,
     left_kernel,
 )
 from .trees import canonicalize
@@ -118,7 +119,7 @@ class StructureAlgebra:
             raise ValueError(f"bracket takes {self.n} arguments")
         supports = []
         for vec in vectors:
-            support = list(_sparse(vec).items())
+            support = [(i, c) for i, c in _entries(vec) if c]
             if not support:
                 return {}
             supports.append(support)
@@ -171,29 +172,39 @@ class StructureAlgebra:
     # content, so it is never mutated after construction.
 
     @cached_property
-    def _ad(self) -> dict[tuple[int, ...], dict[int, dict[int, Fraction]]]:
-        """The maps ad(e_J) : e_i -> [e_i, e_J], as J -> {i: [e_i, e_J]}, for
-        every sorted (n-1)-tuple J with a nonzero bracket.
+    def _ad(self) -> dict[tuple[int, ...], dict[int, dict[int, int]]]:
+        """The maps D ad(e_J) : e_i -> D [e_i, e_J], as J -> {i: D [e_i, e_J]},
+        for every sorted (n-1)-tuple J with a nonzero bracket, where D is the
+        lcm of the denominators of the whole table, so every entry is an int.
 
         Read off the table in one pass: moving args[k] to the front of a
         table entry ``args`` takes k transpositions, so with J = ``args``
         without args[k], [e_{args[k]}, e_J] = (-1)^k table[args].  The rows
-        are the table's own (even k) or one negated copy per entry (odd k),
-        so callers must not mutate them."""
-        ad: dict[tuple[int, ...], dict[int, dict[int, Fraction]]] = {}
+        are one scaled copy of each entry (even k) and its negation (odd k),
+        shared between maps, so callers must not mutate them.
+
+        Scaling.  Every consumer needs ad(e_J) only up to a positive factor,
+        because a*ad(e_J) sends every vector to a multiple of its image under
+        ad(e_J).  The lower series and :func:`_ad_closure` take spans of the
+        images, and a subspace is closed under the one family iff it is
+        under the other; :func:`is_ideal` tests membership of the images; and
+        :func:`_upper_central_series` takes the left kernel of a matrix whose
+        columns are all scaled by D, which has the same left kernel."""
+        den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
+        ad: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
         for args, row in self.table.items():
-            negated = {j: -c for j, c in row.items()}
+            scaled = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+            negated = {j: -x for j, x in scaled.items()}
             for k, i in enumerate(args):
-                ad.setdefault(args[:k] + args[k + 1 :], {})[i] = negated if k % 2 else row
+                ad.setdefault(args[:k] + args[k + 1 :], {})[i] = negated if k % 2 else scaled
         return ad
 
     @cached_property
     def _lower_series(self) -> tuple["AlgebraSubspace", ...]:
-        maps = _integral_maps(self, self._ad)
         chain = [self.full_subspace()]
         while True:
             current = chain[-1]
-            nxt = AlgebraSubspace(self, _ad_images(self, maps, current.space.basis))
+            nxt = AlgebraSubspace(self, _ad_images(self, current.space))
             if nxt.space == current.space:
                 return tuple(chain)
             chain.append(nxt)
@@ -258,7 +269,7 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
             groups.append((f.space, 1))
     builder = SpanBuilder(parent.dim)
     choice_sets = [
-        list(combinations(space.basis, count)) for space, count in groups
+        list(combinations(space.rows.values(), count)) for space, count in groups
     ]
     for picks in product(*choice_sets):
         rows: list[SparseVector] = []
@@ -271,19 +282,17 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
 
 
 def _ad_closure(
-    alg: StructureAlgebra, start: tuple[SparseVector, ...], maps: list[dict[int, dict[int, int]]]
+    alg: StructureAlgebra, start: Iterable[dict[int, int]], tuples: Iterable[tuple[int, ...]]
 ) -> Subspace:
     """The span of the brackets [[[s, x_J1], x_J2], ...] with s in ``start``,
     at least one x_J applied, where x_J is the basis (n-1)-tuple J from
-    ``tuples`` and ``maps`` is ``_integral_maps(alg, tuples)``: the smallest
-    subspace holding every [s, x_J] and closed under every
-    ad(x_J) : y -> [y, x_J].
+    ``tuples``: the smallest subspace holding every [s, x_J] and closed
+    under every ad(x_J) : y -> [y, x_J].
 
-    A worklist applies every ad(x_J) once to each vector the span accepts:
-    about dim(result) * len(tuples) sparse integer matrix-vector products,
-    with no argument sorting and no Fractions until the span's rows are
-    normalized.  Callers closing several subspaces under the same tuples
-    build ``maps`` once.
+    A worklist applies every map of ``alg._ad`` for ``tuples`` once to each
+    vector the span accepts: about dim(result) * len(tuples) sparse integer
+    matrix-vector products, with no argument sorting, and with no Fractions
+    when ``start`` holds integer rows.
 
     Lemma.  Let L be generated by the set X of basis vectors, let
     ``tuples`` be the (n-1)-subsets of X, and let S be a subspace.
@@ -319,67 +328,29 @@ def _ad_closure(
             induction, and the closure is an ideal by (i).
       (iii) The inner bracket lies in Z by induction, and Z is an ideal.
 
-    Scaling.  Each ad(x_J) is scaled to integers by the lcm of its
-    denominators, and the start vectors by theirs.  For nonzero constants
-    a_J, the maps a_J ad(x_J) send every vector to a multiple of its image
-    under ad(x_J), so a subspace is closed under the one family iff it is
-    under the other, and the closure's span is unchanged.
+    The maps are scaled by a positive constant (see ``StructureAlgebra._ad``),
+    which changes no span.
     """
+    maps = [alg._ad[tup] for tup in tuples if tup in alg._ad]
     builder = SpanBuilder(alg.dim)
-    todo = [_integral(vec) for vec in start]
+    todo = list(start)
     while todo:
         vec = todo.pop()
         for ad in maps:
-            value = _apply_map(ad, vec)
+            value = apply_rows(vec, ad)
             if builder.insert(value):
                 todo.append(value)
     return builder.subspace()
 
 
-def _integral_maps(alg: StructureAlgebra, tuples) -> list[dict[int, dict[int, int]]]:
-    """The maps ad(x_J) for the J in ``tuples`` with a nonzero map, each
-    scaled to integers by the lcm of its denominators."""
-    maps = []
-    for tup in tuples:
-        ad = alg._ad.get(tup)
-        if ad is None:
-            continue
-        den = lcm(*(c.denominator for row in ad.values() for c in row.values()))
-        maps.append(
-            {i: {j: c.numerator * (den // c.denominator) for j, c in row.items()}
-             for i, row in ad.items()}
-        )
-    return maps
-
-
-def _apply_map(ad: dict[int, dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
-    """The image of ``vec`` under the map sending e_i to ``ad[i]`` (exact,
-    for int or Fraction entries alike), with cancelled entries dropped."""
-    out: dict[int, int] = {}
-    for i, c in vec.items():
-        row = ad.get(i)
-        if row:
-            for j, x in row.items():
-                nv = out.get(j, 0) + c * x
-                if nv:
-                    out[j] = nv
-                else:
-                    del out[j]
-    return out
-
-
-def _ad_images(
-    alg: StructureAlgebra, maps: list[dict[int, dict[int, int]]], vectors
-) -> Subspace:
-    """[S, L, ..., L] for S spanned by ``vectors``, given ``maps``, the
-    integral ad(e_J) for every J with a nonzero map: by multilinearity and
-    antisymmetry it is spanned by the ad(e_J)(v) for v in ``vectors`` and
-    sorted (n-1)-tuples J."""
+def _ad_images(alg: StructureAlgebra, space: Subspace) -> Subspace:
+    """[S, L, ..., L] for the subspace S: by multilinearity and antisymmetry
+    it is spanned by the ad(e_J)(v) for v in a basis of S and sorted
+    (n-1)-tuples J."""
     builder = SpanBuilder(alg.dim)
-    for vec in vectors:
-        vec = _integral(vec)
-        for ad in maps:
-            builder.insert(_apply_map(ad, vec))
+    for vec in space.rows.values():
+        for ad in alg._ad.values():
+            builder.insert(apply_rows(vec, ad))
     return builder.subspace()
 
 
@@ -426,7 +397,7 @@ def _upper_central_series(
         zk = chain[-1].space
         if zk.dim == dim:
             break
-        # row i holds the classes mod zk of [e_i, x_tup] = alg._ad[tup][i]
+        # row i holds the classes mod zk of D [e_i, x_tup] = alg._ad[tup][i]
         # for every tuple, one block of dim columns per tuple; x is central
         # mod zk iff x . rows = 0
         rows: list[SparseVector] = [{} for _ in range(dim)]
@@ -464,9 +435,9 @@ def is_ideal(alg: StructureAlgebra, sub: AlgebraSubspace) -> bool:
         raise ValueError("subspace does not belong to this algebra")
     # [sub, L, ..., L] is spanned by the ad(e_J)(b), b in the basis of sub
     return all(
-        sub.space.contains_vector(_apply_map(ad, b))
+        sub.space.contains_vector(apply_rows(b, ad))
         for ad in alg._ad.values()
-        for b in sub.space.basis
+        for b in sub.space.rows.values()
     )
 
 

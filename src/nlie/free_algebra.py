@@ -33,14 +33,12 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator
 
 from .algebra import StructureAlgebra
-from .linalg import SpanBuilder, Subspace, _integral, _normalized, frac_str
+from .linalg import SpanBuilder, Subspace, _integral, frac_str
 from .trees import Tree, canonicalize, tree_from_json, tree_to_json, tree_to_str
-
-_F1 = Fraction(1)
 
 DEFAULT_MAX_TREES = 200_000
 COMPONENT_FORMAT = "nlie-graded-component-v2"
@@ -179,23 +177,27 @@ def _weighted_tuples(
     pool: list[tuple[Tree, int]], slots: int, total: int
 ) -> Iterator[tuple[Tree, ...]]:
     """Strictly increasing tuples from the ordered pool with given total weight."""
-    acc: list[Tree] = []
+    return _extended(pool, 0, slots, total, [])
 
-    def rec(start: int, slots_left: int, total_left: int) -> Iterator[tuple[Tree, ...]]:
-        if slots_left == 0:
-            if total_left == 0:
-                yield tuple(acc)
-            return
-        budget = total_left - (slots_left - 1)
-        for i in range(start, len(pool)):
-            tree, tw = pool[i]
-            if tw > budget:
-                break
-            acc.append(tree)
-            yield from rec(i + 1, slots_left - 1, total_left - tw)
-            acc.pop()
 
-    yield from rec(0, slots, total)
+def _extended(
+    pool: list[tuple[Tree, int]], start: int, slots: int, total: int, acc: list[Tree]
+) -> Iterator[tuple[Tree, ...]]:
+    """The tuples of :func:`_weighted_tuples` that begin with ``acc`` and
+    take their other ``slots`` trees from pool[start:].  A plain recursive
+    function: a nested one would refer to itself and make a cycle."""
+    if slots == 0:
+        if total == 0:
+            yield tuple(acc)
+        return
+    budget = total - (slots - 1)
+    for i in range(start, len(pool)):
+        tree, tw = pool[i]
+        if tw > budget:
+            break
+        acc.append(tree)
+        yield from _extended(pool, i + 1, slots - 1, total - tw, acc)
+        acc.pop()
 
 
 class GradedComponent:
@@ -207,12 +209,12 @@ class GradedComponent:
     orbit representative, and for every other block the representative's
     rows relabelled (:func:`_orbit_move`) when :meth:`block_rows` first
     asks for them, then kept here.  Each block's rows are a basis of its
-    part of R_w, so ``rank`` is known at once.  The reduced echelon basis
+    part of R_w, so ``rank`` is known at once.  R_w as a :class:`Subspace`
     (``relations``), the layer basis (``basis_indices``,
     ``basis_position``) and the tree index are built on first read and
     kept on the object; dimension-only callers never build them.  A
-    component loaded from the disk cache holds its reduced echelon rows as
-    its blocks, grouped by the multidegree of their pivot tree.
+    component loaded from the disk cache holds its subspace rows as its
+    blocks, grouped by the multidegree of their pivot tree.
     """
 
     def __init__(
@@ -237,7 +239,7 @@ class GradedComponent:
         """The component of a layer with the multidegree blocks
         ``block_keys`` from the representatives' ``builders`` (keyed by
         block key in ``base``)."""
-        reps = {_digits(key, base, d): b.integer_rows() for key, b in builders.items()}
+        reps = {_digits(k, base, d): [*b.subspace().rows.values()] for k, b in builders.items()}
         kept = [m for m in block_keys if _representative(m) in reps]
         return GradedComponent(n, d, w, table, reps, kept)
 
@@ -265,19 +267,17 @@ class GradedComponent:
 
     @cached_property
     def relations(self) -> Subspace:
-        """The reduced echelon basis of R_w: each representative's rows
-        divided by their pivots, and one elimination of the relabelled rows
-        of every other block (the blocks have disjoint columns)."""
+        """R_w: each representative's rows as they are, and one elimination
+        of the relabelled rows of every other block (the blocks have
+        disjoint columns)."""
         width = len(self.trees)
-        rows: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, dict[int, int]] = {}
         for m in self.block_keys:
             if _representative(m) == m:
-                rows.update((min(r), _normalized(r, min(r))) for r in self._blocks[m])
+                rows.update((min(r), r) for r in self._blocks[m])
             else:
-                span = Subspace.from_vectors(self.block_rows(m), width)
-                rows.update(zip(span.pivots, span.basis))
-        pivots = tuple(sorted(rows))
-        return Subspace(width, tuple(rows[p] for p in pivots), pivots)
+                rows.update(Subspace.from_vectors(self.block_rows(m), width).rows)
+        return Subspace(width, rows)
 
     @cached_property
     def basis_indices(self) -> tuple[int, ...]:
@@ -431,25 +431,30 @@ def filippov_relations(
 
 def _relabelling(table: _TreeIds, perm: tuple[int, ...]) -> Callable[[int], tuple[int, int]]:
     """The generator relabelling g -> perm[g] on interned trees, as a map
-    id -> (sign, id) of the canonical image.  Filled lazily and bottom-up:
-    a bracket's image is the canonicalized tuple of its kids' images."""
-    kids, ids = table.kids, table.ids
+    id -> (sign, id) of the canonical image, filled lazily by
+    :func:`_relabelled`.  A partial of a module-level function, so the map
+    makes no reference cycle."""
     image = {g: (1, perm[g]) for g in range(1, len(perm))}
+    return partial(_relabelled, table.kids, table.ids, image)
 
-    def relabel(tree: int) -> tuple[int, int]:
-        hit = image.get(tree)
-        if hit is None:
-            sign = 1
-            moved = []
-            for kid in kids[tree]:
-                s, j = relabel(kid)
-                sign *= s
-                moved.append(j)
-            s, ct = canonicalize(tuple(moved))
-            hit = image[tree] = (sign * s, ids[ct])
-        return hit
 
-    return relabel
+def _relabelled(
+    kids: list[tuple[int, ...]], ids: dict, image: dict[int, tuple[int, int]], tree: int
+) -> tuple[int, int]:
+    """The image of ``tree`` under the relabelling whose known images are
+    ``image``, filled bottom-up: a bracket's image is the canonicalized
+    tuple of its kids' images."""
+    hit = image.get(tree)
+    if hit is None:
+        sign = 1
+        moved = []
+        for kid in kids[tree]:
+            s, j = _relabelled(kids, ids, image, kid)
+            sign *= s
+            moved.append(j)
+        s, ct = canonicalize(tuple(moved))
+        hit = image[tree] = (sign * s, ids[ct])
+    return hit
 
 
 def _transported(
@@ -538,12 +543,12 @@ def graded_component(
     re-reduction (:class:`GradedComponent` does that relabelling on first
     use).  The next weight wraps these block rows as they are: wrapping is
     linear in the lower row, so any basis of R_v generates the same R_w.
-    Only the reduced echelon basis of R_w needs one more elimination per
+    Only the :class:`Subspace` form of R_w needs one more elimination per
     non-representative block, in its own column order.  The blocks have
-    disjoint columns, so the union of their reduced echelon rows, sorted
-    by pivot, is the reduced echelon basis of R_w: the same unique basis
-    one elimination of all generated rows gives (``filippov_relations``
-    is that route's generator, kept as a test oracle).
+    disjoint columns, so the union of their subspace rows is the subspace
+    form of R_w: the same unique rows one elimination of all generated rows
+    gives (``filippov_relations`` is that route's generator, kept as a test
+    oracle).
     """
     key = (n, d, w)
     cached = _COMPONENT_CACHE.get(key)
@@ -599,8 +604,7 @@ class FreeNilpotentAlgebra:
 
     def layer_span(self, w_min: int) -> Subspace:
         """Span of the basis vectors of weight >= w_min."""
-        rows = [{i: _F1} for i in range(self.dim) if self.weights[i] >= w_min]
-        return Subspace.from_vectors(rows, self.dim)
+        return Subspace(self.dim, {i: {i: 1} for i in range(self.dim) if self.weights[i] >= w_min})
 
 
 def free_nilpotent(
@@ -638,7 +642,7 @@ def free_nilpotent(
         # increasing index tuple is already canonical, with sign +1
         col = ids.ids[tuple(basis_ids[i] for i in args)] - ids.starts[total]
         comp = components[total - 1]
-        coords = comp.coordinates({col: _F1})
+        coords = comp.coordinates({col: 1})
         if coords:
             off = offsets[total - 1]
             table[args] = {off + pos: c for pos, c in coords.items()}
@@ -719,10 +723,10 @@ def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | 
         table = _TREE_IDS[(n, d)]
         keys, base = table.multidegrees(w)
         start = table.starts[w]
+        relations = Subspace(len(trees), {p: _integral(row)[0] for p, row in zip(pivots, rows)})
         blocks: dict[tuple[int, ...], list[dict[int, int]]] = {}
-        for p, row in zip(pivots, rows):
-            blocks.setdefault(_digits(keys[start + p], base, d), []).append(_integral(row))
-        relations = Subspace(len(trees), tuple(rows), pivots)
+        for p, row in relations.rows.items():
+            blocks.setdefault(_digits(keys[start + p], base, d), []).append(row)
         comp = GradedComponent(n, d, w, table, blocks, blocks, relations)
         if comp.dim != obj["dim"] or list(comp.basis_indices) != obj["basis_indices"]:
             return None

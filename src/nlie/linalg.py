@@ -1,26 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Vectors are sparse ``{column: Fraction}`` dicts holding only nonzero
-entries; dense sequences are accepted as input and converted.  A subspace is
-stored as its reduced row-echelon basis, which is the unique canonical
-representative of the row space, so subspace equality is plain data
-comparison.  All arithmetic is exact; nothing here ever rounds.
+Vectors are sparse ``{column: entry}`` dicts holding only nonzero entries,
+with int or Fraction entries; dense sequences are accepted as input and
+converted.  All arithmetic is exact; nothing here ever rounds.
 
-Elimination is fraction-free.  :class:`SpanBuilder` keeps its rows as
-primitive integer dicts (content 1, positive at its own pivot, 0 at every
-other pivot) and reduces by integer cross-multiplication, in the manner of
-Bareiss (Math. Comp. 22, 1968).  Fractions are built only at the boundary:
-an input vector is scaled to integers once on entry, and
-:meth:`SpanBuilder.subspace` and :func:`_upper_block` divide each finished
-row by its pivot entry.
-:meth:`Subspace.reduce` and :func:`apply_rows` work on the finished
-Fraction rows, since their callers need the exact remainder or image.
+A :class:`Subspace` is stored as primitive integer rows keyed by pivot:
+content 1, positive at the row's own pivot and 0 at every other pivot.
+That form is unique, so subspace equality is plain data comparison, and
+:class:`SpanBuilder` accumulates rows in the same form.  One routine reduces
+against such rows, :func:`_clear_pivots`: a single pass of integer
+cross-multiplications, fraction-free in the manner of Bareiss (Math. Comp.
+22, 1968), shared by :meth:`SpanBuilder.insert` and
+:meth:`Subspace.reduce`.  Fractions are built only at the output boundary:
+an input vector is scaled to integers once on entry,
+:attr:`Subspace.basis` divides each row by its pivot entry, and
+:meth:`Subspace.reduce` divides its remainder once by the product of the
+factors it scaled by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
@@ -50,17 +52,14 @@ def unit_vector(length: int, index: int) -> Vector:
     return tuple(_F1 if i == index else _F0 for i in range(length))
 
 
-def _sparse(vec: VectorLike, length: int | None = None) -> SparseVector:
-    """A fresh sparse copy of ``vec``; a dense ``vec`` must have ``length``
-    entries when that is given."""
+def _entries(vec: VectorLike, length: int | None = None) -> Iterable[tuple[int, object]]:
+    """The (index, entry) pairs of a sparse or dense ``vec``, zeros included;
+    a dense ``vec`` must have ``length`` entries when that is given."""
     if type(vec) is dict or isinstance(vec, Mapping):
-        items = vec.items()
-    elif length is not None and len(vec) != length:
+        return vec.items()
+    if length is not None and len(vec) != length:
         raise AmbientMismatchError(f"expected vector of length {length}, got {len(vec)}")
-    else:
-        items = enumerate(vec)
-    # Fraction(c) returns an equal Fraction for a Fraction, but slowly
-    return {i: c if type(c) is Fraction else Fraction(c) for i, c in items if c}
+    return enumerate(vec)
 
 
 def _axpy(v: SparseVector, c: Fraction, row: Mapping[int, Fraction]) -> None:
@@ -74,25 +73,13 @@ def _axpy(v: SparseVector, c: Fraction, row: Mapping[int, Fraction]) -> None:
             del v[col]
 
 
-def _eliminate(v: SparseVector, rows: Mapping[int, SparseVector]) -> SparseVector:
-    """Reduce ``v`` in place against reduced echelon ``rows`` (pivot -> row)
-    and return it; the remainder is zero at every pivot.
-
-    Each row is 1 at its own pivot and 0 at every other row's pivot, so
-    subtracting one row leaves the other pivot entries of ``v`` alone and a
-    single pass over the pivots present in ``v`` clears them all."""
-    for p in [col for col in v if col in rows]:
-        _axpy(v, -v[p], rows[p])
-    return v
-
-
-def _integral(vec: VectorLike) -> dict[int, int]:
-    """A fresh sparse integer multiple of ``vec``: its entries times their
-    least common denominator, so integer entries pass through unchanged."""
-    items = vec.items() if type(vec) is dict or isinstance(vec, Mapping) else enumerate(vec)
+def _integral(vec: VectorLike, length: int | None = None) -> tuple[dict[int, int], int]:
+    """``(row, den)``: a fresh sparse integer ``row`` equal to ``den`` times
+    ``vec``, where ``den`` is the least common denominator of its entries, so
+    integer entries pass through unchanged with ``den`` 1."""
     out: dict[int, int] = {}
     dens: dict[int, int] = {}
-    for i, c in items:
+    for i, c in _entries(vec, length):
         if c:
             if type(c) is not int:
                 if type(c) is not Fraction:
@@ -101,18 +88,19 @@ def _integral(vec: VectorLike) -> dict[int, int]:
                     dens[i] = c.denominator
                 c = c.numerator
             out[i] = c
-    if dens:
-        den = lcm(*dens.values())
-        for i in out:
-            out[i] *= den // dens.get(i, 1)
-    return out
+    if not dens:
+        return out, 1
+    den = lcm(*dens.values())
+    for i in out:
+        out[i] *= den // dens.get(i, 1)
+    return out, den
 
 
-def _clear(v: dict[int, int], p: int, row: Mapping[int, int]) -> None:
+def _clear(v: dict[int, int], p: int, row: Mapping[int, int]) -> int:
     """Cancel column ``p`` of the integer vector ``v`` in place by the
-    cross-multiplication v = (row[p]/g) v - (v[p]/g) row, g = gcd(row[p],
-    v[p]), dropping entries that cancel.  Where ``row`` is 0, ``v`` is only
-    scaled, by a positive factor when row[p] > 0."""
+    cross-multiplication v = a v - (v[p]/g) row, a = row[p]/g, g = gcd(row[p],
+    v[p]), dropping entries that cancel, and return ``a``.  Where ``row`` is
+    0, ``v`` is only scaled by ``a``, which is positive when row[p] > 0."""
     rp, vp = row[p], v[p]
     g = gcd(rp, vp)
     a, b = rp // g, vp // g
@@ -125,6 +113,22 @@ def _clear(v: dict[int, int], p: int, row: Mapping[int, int]) -> None:
             v[col] = nv
         else:
             del v[col]
+    return a
+
+
+def _clear_pivots(v: dict[int, int], rows: Mapping[int, Mapping[int, int]]) -> int:
+    """Reduce the integer vector ``v`` in place against the rows of a
+    :class:`Subspace` (pivot -> row), so that it is 0 at every pivot, and
+    return the product s of the factors it was scaled by: ``v`` ends as s
+    times the exact remainder of the vector it started as.
+
+    Each row is 0 at every other row's pivot, so clearing one pivot of ``v``
+    only scales its other pivot entries, and a single pass over the pivots
+    present in ``v`` clears them all."""
+    scale = 1
+    for p in [col for col in v if col in rows]:
+        scale *= _clear(v, p, rows[p])
+    return scale
 
 
 def _make_primitive(v: dict[int, int], p: int) -> None:
@@ -137,25 +141,19 @@ def _make_primitive(v: dict[int, int], p: int) -> None:
             v[col] //= g
 
 
-def _normalized(row: Mapping[int, int], p: int) -> SparseVector:
-    """The reduced echelon row over Q: ``row`` divided by its entry at ``p``.
-    Almost every finished row has pivot entry 1 and small entries, which
+def _divided(row: Mapping[int, int], den: int) -> SparseVector:
+    """The integer ``row`` divided by the positive ``den``, as Fractions.
+    Almost every pivot entry is 1 with small entries in its row, which
     share the Fractions of ``_SMALL``."""
-    pv = row[p]
-    if pv == 1:
+    if den == 1:
         small = _SMALL
         return {col: small.get(x) or Fraction(x) for col, x in row.items()}
-    return {col: Fraction(x, pv) for col, x in row.items()}
+    return {col: Fraction(x, den) for col, x in row.items()}
 
 
 class SpanBuilder:
-    """Incremental row-space accumulator (sparse, exact, fraction-free).
-
-    Rows are kept keyed by pivot column as primitive integer dicts: content
-    gcd 1, positive at the row's own pivot (its first column) and 0 at every
-    other row's pivot.  That form is unique up to scale, so dividing each
-    row by its pivot entry gives the reduced row-echelon basis over Q;
-    :meth:`subspace` is where those Fractions are built.  A rational input
+    """Incremental row-space accumulator (sparse, exact, fraction-free),
+    keeping its rows in the form :class:`Subspace` stores.  A rational input
     vector is scaled once, on entry, to an integer vector."""
 
     def __init__(self, ambient: int):
@@ -167,16 +165,12 @@ class SpanBuilder:
         return len(self._rows)
 
     def insert(self, vec: VectorLike) -> bool:
-        """Add ``vec`` to the span; True iff the dimension grew.
-
-        Each row is 0 at every other row's pivot, so clearing one pivot of
-        the new vector only scales its other pivot entries, and a single
-        pass over the pivots present in it reduces it.  The remainder, made
-        primitive, is then cleared out of every row holding its pivot."""
+        """Add ``vec`` to the span; True iff the dimension grew.  The
+        remainder of ``vec``, made primitive, is cleared out of every row
+        holding its pivot."""
         rows = self._rows
-        v = _integral(vec)
-        for p in [col for col in v if col in rows]:
-            _clear(v, p, rows[p])
+        v, _ = _integral(vec)
+        _clear_pivots(v, rows)
         if not v:
             return False
         if max(v) >= self.ambient:
@@ -190,30 +184,37 @@ class SpanBuilder:
         rows[p] = v
         return True
 
-    def integer_rows(self) -> list[dict[int, int]]:
-        """The primitive integer rows, by increasing pivot (not copies)."""
-        return [self._rows[p] for p in sorted(self._rows)]
-
     def subspace(self) -> "Subspace":
-        pivots = tuple(sorted(self._rows))
-        return Subspace(self.ambient, tuple(_normalized(self._rows[p], p) for p in pivots), pivots)
+        """The span so far, on the builder's rows (not copies: a later
+        insert changes them)."""
+        rows = self._rows
+        return Subspace(self.ambient, {p: rows[p] for p in sorted(rows)})
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^ambient_dim, canonically represented by its reduced
-    row-echelon basis: sparse rows with strictly increasing pivots, each row
-    1 at its own pivot and 0 at every other row's pivot."""
+    """A subspace of F^ambient_dim, canonically represented by its primitive
+    integer ``rows`` (pivot -> row): content 1, positive at the row's own
+    pivot (its first column) and 0 at every other pivot.  That form is
+    unique, so equality of the data is equality of subspaces.  The rows are
+    shared, never copied, and must not be mutated.  ``pivots`` and the
+    reduced row-echelon ``basis`` over Q (each row divided by its pivot
+    entry) are built on first read."""
 
     ambient_dim: int
-    basis: tuple[SparseVector, ...]
-    pivots: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_rows", dict(zip(self.pivots, self.basis)))
+    rows: dict[int, dict[int, int]]
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, self.pivots))
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows))
+
+    @cached_property
+    def basis(self) -> tuple[SparseVector, ...]:
+        rows = self.rows
+        return tuple(_divided(rows[p], rows[p][p]) for p in self.pivots)
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[VectorLike], ambient_dim: int) -> "Subspace":
@@ -224,24 +225,23 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), ())
+        return cls(ambient_dim, {})
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(
-            ambient_dim,
-            tuple({i: _F1} for i in range(ambient_dim)),
-            tuple(range(ambient_dim)),
-        )
+        return cls(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def reduce(self, vec: VectorLike) -> SparseVector:
-        """Remainder of ``vec`` after elimination against the echelon basis,
-        as a sparse dict supported off the pivots."""
-        return _eliminate(_sparse(vec, self.ambient_dim), self._rows)
+        """Remainder of ``vec`` modulo the subspace: the vector of vec + U
+        that is 0 at every pivot, as a sparse dict of Fractions.  ``vec`` is
+        scaled to integers, cleared by :func:`_clear_pivots` and divided
+        once by the product of the factors it was scaled by."""
+        v, den = _integral(vec, self.ambient_dim)
+        return _divided(v, den * _clear_pivots(v, self.rows))
 
     def contains_vector(self, vec: VectorLike) -> bool:
         return not self.reduce(vec)
@@ -249,40 +249,34 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
-        return all(self.contains_vector(row) for row in other.basis)
+        return all(self.contains_vector(row) for row in other.rows.values())
 
     def complement_coords(self) -> tuple[int, ...]:
         """Coordinates not used as pivots; the corresponding unit vectors
         span a complement of this subspace."""
-        pivot_set = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dim) if c not in pivot_set)
+        return tuple(c for c in range(self.ambient_dim) if c not in self.rows)
 
 
-def _upper_block(vectors: Iterable[SparseVector], split: int, width: int) -> Subspace:
+def _upper_block(vectors: Iterable[VectorLike], split: int, width: int) -> Subspace:
     """Span ``vectors`` in F^(split + width) and keep the part of the span
     that vanishes below ``split``, shifted down into F^width.
 
-    The reduced echelon rows with a pivot at or past ``split`` are exactly
-    those vanishing below it, and they are already the reduced echelon basis
-    of that part."""
+    The rows with a pivot at or past ``split`` are exactly those vanishing
+    below it, and they are already that part's rows in :class:`Subspace`
+    form."""
     builder = SpanBuilder(split + width)
     for vec in vectors:
         builder.insert(vec)
-    kept = [p for p in sorted(builder._rows) if p >= split]
-    return Subspace(
-        width,
-        tuple(
-            {col - split: x for col, x in _normalized(builder._rows[p], p).items()}
-            for p in kept
-        ),
-        tuple(p - split for p in kept),
-    )
+    return Subspace(width, {
+        p - split: {col - split: x for col, x in row.items()}
+        for p, row in builder.subspace().rows.items() if p >= split
+    })
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatchError("ambient dimensions differ")
-    return Subspace.from_vectors(u.basis + v.basis, u.ambient_dim)
+    return Subspace.from_vectors([*u.rows.values(), *v.rows.values()], u.ambient_dim)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -293,8 +287,8 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     n = u.ambient_dim
     if u.dim == 0 or v.dim == 0:
         return Subspace.zero(n)
-    doubled = [{**x, **{n + col: c for col, c in x.items()}} for x in u.basis]
-    return _upper_block(doubled + list(v.basis), n, n)
+    doubled = [{**x, **{n + col: c for col, c in x.items()}} for x in u.rows.values()]
+    return _upper_block(doubled + list(v.rows.values()), n, n)
 
 
 def subspace_member(u: Subspace, vec: VectorLike) -> bool:
@@ -321,20 +315,28 @@ def left_kernel(rows: Sequence[VectorLike], ncols: int) -> Subspace:
     n = len(rows)
     if n == 0:
         return Subspace.zero(0)
-    augmented = []
-    for i, row in enumerate(rows):
-        vec = _sparse(row, ncols)
-        vec[ncols + i] = _F1
-        augmented.append(vec)
+    augmented = [{**dict(_entries(row, ncols)), ncols + i: 1} for i, row in enumerate(rows)]
     return _upper_block(augmented, ncols, n)
 
 
-def apply_rows(vec: VectorLike, rows: Sequence[Mapping[int, Fraction]]) -> SparseVector:
+def apply_rows(
+    vec: VectorLike, rows: Sequence[Mapping[int, Fraction]] | Mapping[int, Mapping[int, Fraction]]
+) -> dict:
     """Image of the row vector ``vec`` under the map sending the i-th unit
-    vector to the sparse vector ``rows[i]``."""
-    out: SparseVector = {}
-    for i, c in _sparse(vec).items():
-        _axpy(out, c, rows[i])
+    vector to the sparse vector ``rows[i]`` (a mapping ``rows`` may omit an
+    i sent to zero), with cancelled entries dropped.  Exact for int and
+    Fraction entries alike: integer input gives an integer image."""
+    get = rows.get if type(rows) is dict or isinstance(rows, Mapping) else rows.__getitem__
+    out: dict = {}
+    for i, c in _entries(vec):
+        row = get(i) if c else None
+        if row:
+            for j, x in row.items():
+                nv = out.get(j, 0) + c * x
+                if nv:
+                    out[j] = nv
+                else:
+                    del out[j]
     return out
 
 

@@ -26,7 +26,6 @@ from .algebra import (
     NotNilpotentError,
     StructureAlgebra,
     _ad_closure,
-    _integral_maps,
     _quotient,
     _upper_central_series,
     gamma_term,
@@ -155,10 +154,9 @@ def gamma_ideal_chain(p: Presentation) -> list[AlgebraSubspace]:
     and every U_j is an ideal).
     """
     free_alg = p.free.algebra
-    maps = _integral_maps(free_alg, _generator_tuples(p))
     chain = [p.kernel]
     for _ in range(p.c):
-        closure = _ad_closure(free_alg, chain[-1].space.basis, maps)
+        closure = _ad_closure(free_alg, chain[-1].space.rows.values(), _generator_tuples(p))
         chain.append(AlgebraSubspace(free_alg, closure))
     return chain
 
@@ -227,7 +225,7 @@ def _analyze(
     zq = centre[min(c, len(centre) - 1)]
     rows = [p.phi[j] for j in comp]
     star = Subspace.from_vectors(
-        [apply_rows(z_row, rows) for z_row in zq.space.basis], algebra.dim
+        [apply_rows(z_row, rows) for z_row in zq.space.rows.values()], algebra.dim
     )
     report = MultiplierReport(
         c=c,

@@ -1,6 +1,7 @@
 """The precomputed ad(e_J) maps against the bracket loops they replaced:
-the map table itself, the integral closure of ``_ad_closure``, the lower
-central series, the upper central series and ``is_ideal``."""
+the map table itself (scaled to integers by one positive factor), the
+integral closure of ``_ad_closure``, the lower central series, the upper
+central series and ``is_ideal``."""
 
 import random
 from fractions import Fraction
@@ -11,8 +12,6 @@ import pytest
 from nlie.algebra import (
     StructureAlgebra,
     _ad_closure,
-    _apply_map,
-    _integral_maps,
     _quotient,
     _upper_central_series,
     abelian,
@@ -25,7 +24,7 @@ from nlie.algebra import (
 )
 from nlie.bounds import catalog_algebras
 from nlie.free_algebra import free_nilpotent
-from nlie.linalg import SpanBuilder, Subspace, _integral, left_kernel
+from nlie.linalg import SpanBuilder, Subspace, _integral, apply_rows, left_kernel
 from nlie.multiplier import gamma_ideal_chain, present, random_lifts
 
 _F1 = Fraction(1)
@@ -114,9 +113,16 @@ def test_ad_entries_are_basis_brackets(alg):
     tuples = list(combinations(range(alg.dim), alg.n - 1))
     assert set(ad) <= set(tuples)
     assert all(rows and all(rows.values()) for rows in ad.values())
+    assert all(type(x) is int for rows in ad.values() for row in rows.values() for x in row.values())
+    # every map is the bracket values times one positive factor, the same
+    # for the whole table
+    factors = set()
     for tup in tuples:
         for i in range(alg.dim):
-            assert ad.get(tup, {}).get(i, {}) == alg.bracket_basis((i,) + tup), (i, tup)
+            got, want = ad.get(tup, {}).get(i, {}), alg.bracket_basis((i,) + tup)
+            assert set(got) == set(want), (i, tup)
+            factors.update(Fraction(got[j]) / want[j] for j in want)
+    assert len(factors) <= 1 and all(f > 0 for f in factors)
 
 
 def test_fractional_quotients_have_fractional_tables():
@@ -127,14 +133,14 @@ def test_fractional_quotients_have_fractional_tables():
 @pytest.mark.parametrize("alg", [alg for _, alg in ALGEBRAS], ids=IDS)
 def test_integral_maps_are_multiples_of_brackets(alg):
     rng = random.Random(alg.dim)
-    tuples = sorted(alg._ad)
-    for tup, ad in zip(tuples, _integral_maps(alg, tuples)):
-        assert all(type(c) is int for row in ad.values() for c in row.values())
+    for tup, ad in sorted(alg._ad.items()):
         for vec in _random_vectors(rng, alg.dim, 3) + [{i: _F1 for i in ad}]:
-            got = _apply_map(ad, _integral(vec))
+            got = apply_rows(_integral(vec)[0], ad)
+            assert all(type(c) is int for c in got.values())
             want = alg.bracket(vec, *[{j: _F1} for j in tup])
             assert set(got) == set(want)
-            assert len({Fraction(got[k]) / want[k] for k in want}) <= 1
+            ratios = {Fraction(got[k]) / want[k] for k in want}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
 
 
 @pytest.mark.parametrize("alg", [alg for _, alg in ALGEBRAS], ids=IDS)
@@ -150,7 +156,7 @@ def test_closure_and_ideal_test_match_bracket_loops(alg):
     rng = random.Random(alg.dim * 31 + alg.n)
     all_tuples = list(combinations(range(alg.dim), alg.n - 1))
     for start in (_random_vectors(rng, alg.dim, 2), [{i: _F1} for i in range(min(alg.dim, 2))]):
-        got = _ad_closure(alg, tuple(start), _integral_maps(alg, all_tuples))
+        got = _ad_closure(alg, tuple(start), all_tuples)
         assert got == _closure_reference(alg, start, all_tuples)
         # the closure is an ideal (part (i) of the lemma); a random line
         # usually is not, and the two tests must agree on it as well
@@ -164,7 +170,7 @@ def test_closure_and_ideal_test_match_bracket_loops(alg):
     sources = sorted({i for rows in alg._ad.values() for i in rows})
     for tup in sorted(alg._ad)[:6]:
         start = [{a: _F1, b: Fraction(-2, 3)} for a, b in combinations(sources[:4], 2)]
-        got = _ad_closure(alg, tuple(start), _integral_maps(alg, [tup]))
+        got = _ad_closure(alg, tuple(start), [tup])
         assert got == _closure_reference(alg, start, [tup])
 
 

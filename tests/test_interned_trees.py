@@ -2,6 +2,7 @@
 replaced: the flat-int path of ``canonicalize``, the lazy relabelling map,
 and the expansion of identity instances and wrapped relation rows."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -176,3 +177,18 @@ def test_clear_caches_empties_every_module_memo():
     # only the orbit representatives' rows, nothing relabelled yet
     assert set(cold._blocks) == {m for m in cold.block_keys if m == _representative(m)}
     assert set(cold._blocks) < set(cold.block_keys)
+
+
+def test_cold_layer_leaves_nothing_for_the_cyclic_gc():
+    """The oracle path makes no reference cycles (no nested function that
+    refers to itself), so a cold layer is freed by reference counting alone
+    once the memos are cleared."""
+    free_algebra.clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        graded_component(2, 4, 6)
+        free_algebra.clear_caches()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -36,7 +36,9 @@ def _block_by_block(n, d, w):
         span = builder.subspace()
         rows.update(zip(span.pivots, span.basis))
     pivots = tuple(sorted(rows))
-    return Subspace(width, tuple(rows[p] for p in pivots), pivots)
+    space = Subspace.from_vectors(rows.values(), width)
+    assert space.basis == tuple(rows[p] for p in pivots) and space.pivots == pivots
+    return space
 
 
 # the layers of test_relation_basis_is_pinned, and every (n, d, w) with

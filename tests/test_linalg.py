@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from sympy import Matrix, Rational
 
 from nlie.linalg import (
@@ -263,8 +263,9 @@ def _fraction(x):
 
 
 def _sympy_rref(vectors, ncols):
-    """The reduced echelon basis of the row span of ``vectors`` (sympy
-    rows), as a Subspace of F^ncols."""
+    """The row span of ``vectors`` (sympy rows) as a Subspace of F^ncols,
+    spanned by sympy's reduced echelon rows, whose ``basis`` and ``pivots``
+    must be exactly those rows."""
     rows = [v for v in vectors if any(v)]
     if not rows:
         return Subspace.zero(ncols)
@@ -273,7 +274,9 @@ def _sympy_rref(vectors, ncols):
         {c: _fraction(reduced[i, c]) for c in range(ncols) if reduced[i, c] != 0}
         for i in range(len(pivots))
     )
-    return Subspace(ncols, basis, tuple(pivots))
+    space = Subspace.from_vectors(basis, ncols)
+    assert space.basis == basis and space.pivots == tuple(pivots)
+    return space
 
 
 def _sympy_rows(rows):
@@ -342,3 +345,66 @@ def test_builder_rows_stay_primitive_after_every_insert(rows):
         _assert_primitive_rows(builder)
         assert grew == (builder.dim == Subspace.from_vectors(rows[:i], ncols).dim + 1)
     assert builder.subspace() == Subspace.from_vectors(rows, ncols)
+
+
+def _eliminate(v, rows):
+    """The Fraction route that ``Subspace.reduce`` replaced, kept as its
+    reference: reduce the sparse Fraction vector ``v`` in place against
+    reduced echelon ``rows`` (pivot -> row) by one pass of
+    v -= v[p] * rows[p] over the pivots present in ``v``, and return it."""
+    for p in [col for col in v if col in rows]:
+        c = v[p]
+        for col, val in rows[p].items():
+            nv = v.get(col, 0) - c * val
+            if nv:
+                v[col] = nv
+            else:
+                del v[col]
+    return v
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@given(rational_matrices(max_rows=5, max_cols=6), st.data())
+def test_reduce_and_membership_match_fraction_route(rows, data):
+    ncols = len(rows[0])
+    space = Subspace.from_vectors(rows, ncols)
+    # the integer rows are not the echelon rows, so reduce has to rescale
+    assume(any(row[p] != 1 for p, row in space.rows.items()))
+    reference = _sympy_rref(_sympy_rows(rows), ncols)
+    echelon = dict(zip(reference.pivots, reference.basis))
+    probe = data.draw(st.lists(_RATIONAL, min_size=ncols, max_size=ncols))
+    coeffs = data.draw(st.lists(_RATIONAL, min_size=len(rows), max_size=len(rows)))
+    member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+    assert space.contains_vector(member)
+    for vec in (probe, member, [a + b for a, b in zip(probe, member)]):
+        want = _eliminate({i: x for i, x in enumerate(vec) if x}, echelon)
+        got = space.reduce(vec)
+        # the same values in the same key order, as Fractions
+        assert list(got.items()) == list(want.items())
+        assert all(type(x) is Fraction for x in got.values())
+        assert space.reduce({i: x for i, x in enumerate(vec) if x}) == want
+        assert space.contains_vector(vec) == (not want)
+
+
+@given(rational_matrices(max_rows=5, max_cols=5), st.randoms(use_true_random=False))
+def test_spanning_sets_of_one_span_give_equal_subspaces_and_hashes(rows, rng):
+    ncols = len(rows[0])
+    space = Subspace.from_vectors(rows, ncols)
+    # each row plus multiples of the earlier ones, rescaled: an invertible
+    # change of spanning set, then shuffled, with one redundant sum added
+    other = []
+    for row in rows:
+        mixed = list(row)
+        for earlier in rows[: len(other)]:
+            c = rng.randint(-2, 2)
+            mixed = [x + c * y for x, y in zip(mixed, earlier)]
+        factor = rng.choice([-3, -1, Fraction(2, 5), 7])
+        other.append([factor * x for x in mixed])
+    other.append([x + y for x, y in zip(other[0], other[-1])])
+    rng.shuffle(other)
+    again = Subspace.from_vectors(other, ncols)
+    assert again == space and hash(again) == hash(space)
+    assert len({space, again}) == 1
+    assert again.basis == space.basis and again.pivots == space.pivots
