@@ -9,7 +9,7 @@ by :meth:`StructureAlgebra.validate`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -169,7 +169,9 @@ class StructureAlgebra:
 
     # -- central series -----------------------------------------------------
     # Each is computed at most once per instance: the algebra hashes by
-    # content, so it is never mutated after construction.
+    # content, so it is never mutated after construction.  The series are
+    # kept as plain subspaces: an AlgebraSubspace refers back to its
+    # algebra, so keeping one here would make a reference cycle.
 
     @cached_property
     def _ad(self) -> dict[tuple[int, ...], dict[int, dict[int, int]]]:
@@ -185,11 +187,11 @@ class StructureAlgebra:
 
         Scaling.  Every consumer needs ad(e_J) only up to a positive factor,
         because a*ad(e_J) sends every vector to a multiple of its image under
-        ad(e_J).  The lower series and :func:`_ad_closure` take spans of the
-        images, and a subspace is closed under the one family iff it is
-        under the other; :func:`is_ideal` tests membership of the images; and
-        :func:`_upper_central_series` takes the left kernel of a matrix whose
-        columns are all scaled by D, which has the same left kernel."""
+        ad(e_J).  The lower series and the ideal chain take spans of the
+        images (:func:`_ad_images`); :func:`is_ideal` tests membership of the
+        images; and :func:`_upper_central_series` takes the left kernel of a
+        matrix whose columns are all scaled by D, which has the same left
+        kernel."""
         den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
         ad: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
         for args, row in self.table.items():
@@ -200,17 +202,16 @@ class StructureAlgebra:
         return ad
 
     @cached_property
-    def _lower_series(self) -> tuple["AlgebraSubspace", ...]:
-        chain = [self.full_subspace()]
+    def _lower_series(self) -> tuple[Subspace, ...]:
+        chain = [Subspace.full(self.dim)]
         while True:
-            current = chain[-1]
-            nxt = AlgebraSubspace(self, _ad_images(self, current.space))
-            if nxt.space == current.space:
+            nxt = _ad_images(self, chain[-1].rows.values(), self._ad.values())
+            if nxt == chain[-1]:
                 return tuple(chain)
             chain.append(nxt)
 
     @cached_property
-    def _upper_series(self) -> tuple["AlgebraSubspace", ...]:
+    def _upper_series(self) -> tuple[Subspace, ...]:
         # a tuple missing from _ad brackets everything to zero
         return tuple(_upper_central_series(self, list(self._ad)))
 
@@ -281,35 +282,36 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
     return AlgebraSubspace(parent, builder.subspace())
 
 
-def _ad_closure(
-    alg: StructureAlgebra, start: Iterable[dict[int, int]], tuples: Iterable[tuple[int, ...]]
-) -> Subspace:
-    """The span of the brackets [[[s, x_J1], x_J2], ...] with s in ``start``,
-    at least one x_J applied, where x_J is the basis (n-1)-tuple J from
-    ``tuples``: the smallest subspace holding every [s, x_J] and closed
-    under every ad(x_J) : y -> [y, x_J].
+def _ad_images(alg: StructureAlgebra, rows: Iterable[dict], maps: Collection[dict]) -> Subspace:
+    """The span of the ad(e_J)(v) = [v, e_J] for v in ``rows`` and the maps
+    ad(e_J) of ``alg._ad`` in ``maps``: sparse integer matrix-vector
+    products, with no argument sorting, and with no Fractions when ``rows``
+    are integer rows.
 
-    A worklist applies every map of ``alg._ad`` for ``tuples`` once to each
-    vector the span accepts: about dim(result) * len(tuples) sparse integer
-    matrix-vector products, with no argument sorting, and with no Fractions
-    when ``start`` holds integer rows.
+    With every map and a basis of a subspace S this is [S, L, ..., L], by
+    multilinearity and antisymmetry.  With the maps of the (n-1)-subsets of
+    a generating set X of basis vectors and a basis of an ideal U it is
+    [U, L, ..., L] as well, by part (iii) of the lemma below.
 
-    Lemma.  Let L be generated by the set X of basis vectors, let
-    ``tuples`` be the (n-1)-subsets of X, and let S be a subspace.
-      (i)   The closure S* of S under every ad(x_J) is an ideal of L.
-      (ii)  If U is an ideal, the closure of [U, X, ..., X] is
-            [U, L, ..., L], so the closure of U under the maps of
-            ``tuples`` is [U, L, ..., L].
-      (iii) If Z is an ideal and [z, x_J] lies in Z for every J, then
+    Lemma.  Let L be generated by the set X of basis vectors, let x_J range
+    over the (n-1)-subsets J of X, and let U be an ideal with basis
+    u_1, ..., u_k.
+      (i)   The span V of the [u_i, x_J] is closed under every ad(x_K).
+      (ii)  A subspace closed under every ad(x_J) is an ideal.
+      (iii) V = [U, L, ..., L].
+      (iv)  If Z is an ideal and [z, x_J] lies in Z for every J, then
             [z, y_1, ..., y_{n-1}] lies in Z for all y in L: z is central
             modulo Z.
 
-    Proof.  L is spanned by the bracket words in X; the degree of a word is
-    the number of letters from X in it.  Everything is multilinear, so it is
-    enough to take y_1, ..., y_{n-1} words and to induct on their total
-    degree D.  For D = n - 1 all y_i are letters, and each claim holds by
-    hypothesis.  Otherwise some y_i is not a letter; by antisymmetry take it
-    to be y_{n-1} = [z_1, ..., z_n], with words z_i of smaller degree.  As
+    Proof.  (i) [u_i, x_J] lies in the ideal U, so it is a combination of
+    the u_l, and ad(x_K) of it is the same combination of the [u_l, x_K].
+    For the rest: L is spanned by the bracket words in X; the degree of a
+    word is the number of letters from X in it.  Everything is multilinear,
+    so it is enough to take y_1, ..., y_{n-1} words and to induct on their
+    total degree D.  For D = n - 1 all y_i are letters, and each claim holds
+    by hypothesis (for (iii), u is a combination of the u_i).  Otherwise
+    some y_i is not a letter; by antisymmetry take it to be
+    y_{n-1} = [z_1, ..., z_n], with words z_i of smaller degree.  As
     ad(u, y_1, ..., y_{n-2}) is a derivation (the Filippov identity),
 
         [u, y_1, ..., y_{n-2}, [z_1, ..., z_n]]
@@ -318,38 +320,19 @@ def _ad_closure(
     In each term the inner bracket has arguments y_1, ..., y_{n-2}, z_i of
     total degree below D, and the outer bracket applies the z_j, j != i, of
     total degree deg(y_{n-1}) - deg(z_i) < D, to it.
-      (i)   For u in S* the inner bracket lies in S* by induction, and then
-            the outer one does too, by induction again.
-      (ii)  [U, L, ..., L] contains [U, X, ..., X], and it is an ideal: by
-            the derivation rule [[u, y], a] = [[u, a], y] + sum of
-            [u, ..., [y_i, a], ...], and [u, a] lies in U.  So it contains
-            the closure.  Conversely, for u in U the inner bracket lies in
-            [U, L, ..., L] with degree below D, so in the closure by
-            induction, and the closure is an ideal by (i).
-      (iii) The inner bracket lies in Z by induction, and Z is an ideal.
+      (ii)  For u in the subspace the inner bracket lies in it by
+            induction, and then the outer one does too, by induction again.
+      (iii) V lies in [U, L, ..., L].  Conversely, for u in U the inner
+            bracket lies in [U, L, ..., L] with degree below D, so in V by
+            induction, and V is an ideal by (i) and (ii).
+      (iv)  The inner bracket lies in Z by induction, and Z is an ideal.
 
     The maps are scaled by a positive constant (see ``StructureAlgebra._ad``),
     which changes no span.
     """
-    maps = [alg._ad[tup] for tup in tuples if tup in alg._ad]
     builder = SpanBuilder(alg.dim)
-    todo = list(start)
-    while todo:
-        vec = todo.pop()
+    for vec in rows:
         for ad in maps:
-            value = apply_rows(vec, ad)
-            if builder.insert(value):
-                todo.append(value)
-    return builder.subspace()
-
-
-def _ad_images(alg: StructureAlgebra, space: Subspace) -> Subspace:
-    """[S, L, ..., L] for the subspace S: by multilinearity and antisymmetry
-    it is spanned by the ad(e_J)(v) for v in a basis of S and sorted
-    (n-1)-tuples J."""
-    builder = SpanBuilder(alg.dim)
-    for vec in space.rows.values():
-        for ad in alg._ad.values():
             builder.insert(apply_rows(vec, ad))
     return builder.subspace()
 
@@ -357,7 +340,7 @@ def _ad_images(alg: StructureAlgebra, space: Subspace) -> Subspace:
 def lower_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
     """Descending chain: the whole algebra, then iterated bracket products
     with the whole algebra, up to and including the first stable term."""
-    return list(alg._lower_series)
+    return [AlgebraSubspace(alg, space) for space in alg._lower_series]
 
 
 def nilpotency_class(alg: StructureAlgebra) -> int | None:
@@ -374,27 +357,27 @@ def gamma_term(alg: StructureAlgebra, k: int) -> AlgebraSubspace:
     if k < 1:
         raise ValueError("lower central series starts at index 1")
     chain = alg._lower_series
-    return chain[min(k - 1, len(chain) - 1)]
+    return AlgebraSubspace(alg, chain[min(k - 1, len(chain) - 1)])
 
 
 def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
     """Ascending chain from zero, each step the full preimage of the center
     of the quotient, up to and including the first stable term."""
-    return list(alg._upper_series)
+    return [AlgebraSubspace(alg, space) for space in alg._upper_series]
 
 
 def _upper_central_series(
     alg: StructureAlgebra, tuples: list[tuple[int, ...]]
-) -> list[AlgebraSubspace]:
+) -> list[Subspace]:
     """The upper central series, testing centrality mod Z_j only against the
     basis tuples in ``tuples``.  With all (n-1)-subsets of the basis this is
     the definition; with the (n-1)-subsets of a generating set of basis
-    vectors it is the same chain, by part (iii) of the lemma in
-    :func:`_ad_closure`."""
+    vectors it is the same chain, by part (iv) of the lemma in
+    :func:`_ad_images`."""
     dim = alg.dim
-    chain = [alg.zero_subspace()]
+    chain = [Subspace.zero(dim)]
     while True:
-        zk = chain[-1].space
+        zk = chain[-1]
         if zk.dim == dim:
             break
         # row i holds the classes mod zk of D [e_i, x_tup] = alg._ad[tup][i]
@@ -409,7 +392,7 @@ def _upper_central_series(
         nxt = left_kernel(rows, len(tuples) * dim)
         if nxt == zk:
             break
-        chain.append(AlgebraSubspace(alg, nxt))
+        chain.append(nxt)
     return chain
 
 
@@ -418,7 +401,7 @@ def z_term(alg: StructureAlgebra, c: int) -> AlgebraSubspace:
     if c < 0:
         raise ValueError("upper central series starts at index 0")
     chain = alg._upper_series
-    return chain[min(c, len(chain) - 1)]
+    return AlgebraSubspace(alg, chain[min(c, len(chain) - 1)])
 
 
 def minimal_generators(alg: StructureAlgebra) -> int:

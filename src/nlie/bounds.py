@@ -288,8 +288,8 @@ def run_catalog(
     """Run every checker over every applicable (algebra, ideal, c) in the
     catalog.  Deterministic: output rows are sorted by (name, descriptor,
     variant)."""
-    if c_max < 1 or c_max > 4:
-        raise ValueError("c_max must be between 1 and 4")
+    if c_max < 1 or c_max > 5:
+        raise ValueError("c_max must be between 1 and 5")
     if algebras is None:
         algebras = catalog_algebras(max_trees)
     checks: list[BoundCheck] = []

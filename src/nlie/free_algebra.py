@@ -205,7 +205,7 @@ class GradedComponent:
 
     The relation span R_w is kept as integer rows per multidegree block,
     keyed by the multidegree (m_1, ..., m_d) and listed in ``block_keys``
-    (the blocks with relations): the builder's primitive rows for each
+    (the blocks with relations): the builder's semi-echelon rows for each
     orbit representative, and for every other block the representative's
     rows relabelled (:func:`_orbit_move`) when :meth:`block_rows` first
     asks for them, then kept here.  Each block's rows are a basis of its
@@ -239,7 +239,7 @@ class GradedComponent:
         """The component of a layer with the multidegree blocks
         ``block_keys`` from the representatives' ``builders`` (keyed by
         block key in ``base``)."""
-        reps = {_digits(k, base, d): [*b.subspace().rows.values()] for k, b in builders.items()}
+        reps = {_digits(k, base, d): [*b.rows.values()] for k, b in builders.items()}
         kept = [m for m in block_keys if _representative(m) in reps]
         return GradedComponent(n, d, w, table, reps, kept)
 
@@ -267,16 +267,12 @@ class GradedComponent:
 
     @cached_property
     def relations(self) -> Subspace:
-        """R_w: each representative's rows as they are, and one elimination
-        of the relabelled rows of every other block (the blocks have
+        """R_w: one elimination of each block's rows (the blocks have
         disjoint columns)."""
         width = len(self.trees)
         rows: dict[int, dict[int, int]] = {}
         for m in self.block_keys:
-            if _representative(m) == m:
-                rows.update((min(r), r) for r in self._blocks[m])
-            else:
-                rows.update(Subspace.from_vectors(self.block_rows(m), width).rows)
+            rows.update(Subspace.from_vectors(self.block_rows(m), width).rows)
         return Subspace(width, rows)
 
     @cached_property
@@ -470,11 +466,6 @@ def _transported(
             sign, j = relabel(start + col)
             image[j - start] = x if sign > 0 else -x
         out.append(image)
-    # inserted by decreasing first column: while those columns are distinct,
-    # each new pivot lies left of the rows already kept and no kept row needs
-    # back-substitution (relabelling need not keep the pivots first, so two
-    # rows can share a first column; the builder then clears as usual)
-    out.sort(key=min, reverse=True)
     return out
 
 
@@ -538,13 +529,13 @@ def graded_component(
 
     So rows are generated only for the nonincreasing multidegrees, one
     per S_d orbit, and each is eliminated in its own builder; its
-    primitive integer rows are a basis of that block.  Every other block
+    semi-echelon integer rows are a basis of that block.  Every other block
     of the orbit holds the representative's rows relabelled, with no
     re-reduction (:class:`GradedComponent` does that relabelling on first
     use).  The next weight wraps these block rows as they are: wrapping is
     linear in the lower row, so any basis of R_v generates the same R_w.
-    Only the :class:`Subspace` form of R_w needs one more elimination per
-    non-representative block, in its own column order.  The blocks have
+    Only the :class:`Subspace` form of R_w needs one more elimination of
+    each block's rows, which back-substitutes them.  The blocks have
     disjoint columns, so the union of their subspace rows is the subspace
     form of R_w: the same unique rows one elimination of all generated rows
     gives (``filippov_relations`` is that route's generator, kept as a test

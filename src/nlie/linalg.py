@@ -6,11 +6,13 @@ converted.  All arithmetic is exact; nothing here ever rounds.
 
 A :class:`Subspace` is stored as primitive integer rows keyed by pivot:
 content 1, positive at the row's own pivot and 0 at every other pivot.
-That form is unique, so subspace equality is plain data comparison, and
-:class:`SpanBuilder` accumulates rows in the same form.  One routine reduces
-against such rows, :func:`_clear_pivots`: a single pass of integer
-cross-multiplications, fraction-free in the manner of Bareiss (Math. Comp.
-22, 1968), shared by :meth:`SpanBuilder.insert` and
+That form is unique, so subspace equality is plain data comparison.
+:class:`SpanBuilder` keeps primitive rows in semi-echelon form (distinct
+first columns, other entries unreduced) and back-substitutes them into
+that form once, when its subspace is read.  Every step is one integer
+cross-multiplication, :func:`_clear`, fraction-free in the manner of
+Bareiss (Math. Comp. 22, 1968); :func:`_clear_pivots` is a single pass of
+them against reduced rows, shared by :meth:`SpanBuilder.subspace` and
 :meth:`Subspace.reduce`.  Fractions are built only at the output boundary:
 an input vector is scaled to integers once on entry,
 :attr:`Subspace.basis` divides each row by its pivot entry, and
@@ -152,43 +154,52 @@ def _divided(row: Mapping[int, int], den: int) -> SparseVector:
 
 
 class SpanBuilder:
-    """Incremental row-space accumulator (sparse, exact, fraction-free),
-    keeping its rows in the form :class:`Subspace` stores.  A rational input
-    vector is scaled once, on entry, to an integer vector."""
+    """Incremental row-space accumulator (sparse, exact, fraction-free).  A
+    rational input vector is scaled once, on entry, to an integer vector.
+
+    ``rows`` (first column -> row) is a basis of the span in semi-echelon
+    form: every row is primitive and positive at its first column, and no
+    two rows share a first column.  An insert adds at most one row and never
+    changes a stored one; :meth:`subspace` back-substitutes once."""
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self._rows: dict[int, dict[int, int]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def insert(self, vec: VectorLike) -> bool:
-        """Add ``vec`` to the span; True iff the dimension grew.  The
-        remainder of ``vec``, made primitive, is cleared out of every row
-        holding its pivot."""
-        rows = self._rows
+        """Add ``vec`` to the span; True iff the dimension grew.  Only the
+        leading column of ``vec`` is cleared, again and again, until it is
+        no row's first column; what is left is stored, made primitive."""
+        rows = self.rows
         v, _ = _integral(vec)
-        _clear_pivots(v, rows)
+        while v and (p := min(v)) in rows:
+            _clear(v, p, rows[p])
         if not v:
             return False
         if max(v) >= self.ambient:
             raise AmbientMismatchError(f"coordinate {max(v)} outside ambient {self.ambient}")
-        p = min(v)
         _make_primitive(v, p)
-        for q, row in rows.items():
-            if p in row:
-                _clear(row, p, v)
-                _make_primitive(row, q)
         rows[p] = v
         return True
 
     def subspace(self) -> "Subspace":
-        """The span so far, on the builder's rows (not copies: a later
-        insert changes them)."""
-        rows = self._rows
-        return Subspace(self.ambient, {p: rows[p] for p in sorted(rows)})
+        """The span so far in :class:`Subspace` form: each row, in decreasing
+        order of first column, is cleared against the rows after it, which
+        are in that form by then (every other row starts left of all its
+        entries), and made primitive again.  That happens in place and the
+        subspace shares the rows, so an insert followed by a second call
+        changes them."""
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            row = rows.pop(p)
+            _clear_pivots(row, rows)
+            _make_primitive(row, p)
+            rows[p] = row
+        return Subspace(self.ambient, dict(reversed(rows.items())))
 
 
 @dataclass(frozen=True)
@@ -261,16 +272,17 @@ def _upper_block(vectors: Iterable[VectorLike], split: int, width: int) -> Subsp
     """Span ``vectors`` in F^(split + width) and keep the part of the span
     that vanishes below ``split``, shifted down into F^width.
 
-    The rows with a pivot at or past ``split`` are exactly those vanishing
-    below it, and they are already that part's rows in :class:`Subspace`
-    form."""
+    The builder's rows have distinct first columns, so a combination of them
+    vanishes below ``split`` only if every row in it does: the rows with a
+    first column at or past ``split`` are a basis of that part, and only
+    they are re-spanned."""
     builder = SpanBuilder(split + width)
     for vec in vectors:
         builder.insert(vec)
-    return Subspace(width, {
-        p - split: {col - split: x for col, x in row.items()}
-        for p, row in builder.subspace().rows.items() if p >= split
-    })
+    return Subspace.from_vectors((
+        {col - split: x for col, x in row.items()}
+        for p, row in builder.rows.items() if p >= split
+    ), width)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

@@ -25,7 +25,7 @@ from .algebra import (
     AlgebraSubspace,
     NotNilpotentError,
     StructureAlgebra,
-    _ad_closure,
+    _ad_images,
     _quotient,
     _upper_central_series,
     gamma_term,
@@ -43,10 +43,9 @@ from .linalg import (
     Vector,
     apply_rows,
     left_kernel,
-    subspace_intersect,
     unit_vector,
 )
-from .trees import Tree, is_generator
+from .trees import Tree
 
 _F1 = Fraction(1)
 
@@ -110,19 +109,18 @@ def present(
 def _evaluate_basis(
     algebra: StructureAlgebra, basis_trees: tuple[Tree, ...], lifts: tuple[Vector, ...]
 ) -> tuple[SparseVector, ...]:
-    generators = [{i: c for i, c in enumerate(lift) if c} for lift in lifts]
-    cache: dict[Tree, SparseVector] = {}
+    values = {g: {i: c for i, c in enumerate(lift) if c} for g, lift in enumerate(lifts, 1)}
+    return tuple(_evaluated(algebra, values, tree) for tree in basis_trees)
 
-    def ev(tree: Tree) -> SparseVector:
-        if is_generator(tree):
-            return generators[tree - 1]
-        got = cache.get(tree)
-        if got is None:
-            got = algebra.bracket(*[ev(child) for child in tree])
-            cache[tree] = got
-        return got
 
-    return tuple(ev(tree) for tree in basis_trees)
+def _evaluated(algebra: StructureAlgebra, values: dict, tree: Tree) -> SparseVector:
+    """The value of ``tree`` in ``algebra``, memoized in ``values``, which
+    starts with the value of each generator.  A plain recursive function: a
+    nested one would refer to itself and make a cycle."""
+    got = values.get(tree)
+    if got is None:
+        got = values[tree] = algebra.bracket(*[_evaluated(algebra, values, kid) for kid in tree])
+    return got
 
 
 def _check_homomorphism(
@@ -148,16 +146,18 @@ def _generator_tuples(p: Presentation) -> list[tuple[int, ...]]:
 def gamma_ideal_chain(p: Presentation) -> list[AlgebraSubspace]:
     """The chain U_1 = Rbar, U_{j+1} = [U_j, E, ..., E], up to U_{c+1}.
 
-    Each step is the closure of [U_j, X, ..., X] under the maps ad(x_J) for
-    the generator tuples J, which is [U_j, E, ..., E] by the lemma in
-    :func:`nlie.algebra._ad_closure` (E is generated by its weight-1 basis X
-    and every U_j is an ideal).
+    Each step is one application of the maps ad(x_J) for the generator
+    tuples J to a basis of U_j: E is generated by its weight-1 basis X, and
+    every U_j is an ideal (Rbar is the kernel of a homomorphism), so the
+    span of the [u, x_J] is [U_j, E, ..., E] by the lemma in
+    :func:`nlie.algebra._ad_images`.
     """
     free_alg = p.free.algebra
+    maps = [free_alg._ad[tup] for tup in _generator_tuples(p) if tup in free_alg._ad]
     chain = [p.kernel]
     for _ in range(p.c):
-        closure = _ad_closure(free_alg, chain[-1].space.rows.values(), _generator_tuples(p))
-        chain.append(AlgebraSubspace(free_alg, closure))
+        images = _ad_images(free_alg, chain[-1].space.rows.values(), maps)
+        chain.append(AlgebraSubspace(free_alg, images))
     return chain
 
 
@@ -193,6 +193,16 @@ class MultiplierReport:
         }
 
 
+def _gamma_cap_kernel(p: Presentation) -> Subspace:
+    """gamma_{c+1}(E) /\\ Rbar.  E is generated in weight 1 and its basis is
+    ordered by weight, so gamma_{c+1}(E) is the span of the coordinates from
+    the first one of weight c+1 on.  Rbar's rows have distinct pivots, so a
+    combination of them vanishes before that coordinate only if each row in
+    it does: the rows with a pivot there are a basis of the intersection."""
+    first = sum(w <= p.c for w in p.free.weights)
+    return Subspace(p.free.dim, {q: r for q, r in p.kernel.space.rows.items() if q >= first})
+
+
 _ANALYSIS_CACHE: dict[tuple, tuple[MultiplierReport, Subspace]] = {}
 
 
@@ -210,9 +220,8 @@ def _analyze(
             return cached
     p = present(algebra, c, lifts, extra_class, max_trees)
     bottom = gamma_ideal_chain(p)[-1]
-    # E is generated in weight 1, so gamma_{c+1}(E) is the span of weights >= c+1
     gamma = p.free.layer_span(c + 1)
-    numerator = subspace_intersect(gamma, p.kernel.space)
+    numerator = _gamma_cap_kernel(p)
     if not numerator.contains_subspace(bottom.space):
         raise AssertionError("denominator escaped the numerator subspace")
     # bottom is closed under every ad(x_J), hence an ideal; it lies in
@@ -225,7 +234,7 @@ def _analyze(
     zq = centre[min(c, len(centre) - 1)]
     rows = [p.phi[j] for j in comp]
     star = Subspace.from_vectors(
-        [apply_rows(z_row, rows) for z_row in zq.space.rows.values()], algebra.dim
+        [apply_rows(z_row, rows) for z_row in zq.rows.values()], algebra.dim
     )
     report = MultiplierReport(
         c=c,

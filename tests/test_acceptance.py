@@ -176,6 +176,8 @@ BOUNDS_SHA256 = {
         "b63165061874224e5d21b21c5f5123794252b87adb5fad48cbbc9facc1529b54"),
     4: ("76c68606eb751fa1e69f7a0d3143f1dc5e2262b44d664ca18c353c6d7693dd38",
         "51cbd567d8d4604157f8ae11ffec664fcd60a204e5cc0d0ba05f1a8702ad1eca"),
+    5: ("f2f64a559b2e1c4edb3296cc960d112656c0ccabc00a9891ae4cd35befcf06c4",
+        "877f2b772ac22bea55ac29df65e596afa78e1ee61105044743c69838e6b8ffbb"),
 }
 
 

@@ -1,7 +1,8 @@
 """The precomputed ad(e_J) maps against the bracket loops they replaced:
 the map table itself (scaled to integers by one positive factor), the
-integral closure of ``_ad_closure``, the lower central series, the upper
-central series and ``is_ideal``."""
+worklist closure ``_ad_closure`` that the one-step ``_ad_images`` replaced
+(kept here as a reference), the lower central series, the upper central
+series and ``is_ideal``."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 from nlie.algebra import (
     StructureAlgebra,
-    _ad_closure,
+    _ad_images,
     _quotient,
     _upper_central_series,
     abelian,
@@ -67,6 +68,24 @@ def _closure_reference(alg, start, tuples):
         vec = todo.pop()
         for args in units:
             value = alg.bracket(vec, *args)
+            if builder.insert(value):
+                todo.append(value)
+    return builder.subspace()
+
+
+def _ad_closure(alg, start, tuples):
+    """The worklist closure: every map of ``alg._ad`` for ``tuples`` is
+    applied once to each vector the span accepts, so the result is the span
+    of every [s, x_J] with s in ``start``, closed under every ad(x_J), for
+    any ``start``.  The library needs it only on ideals, where one
+    application of the maps (``_ad_images``) is already closed."""
+    maps = [alg._ad[tup] for tup in tuples if tup in alg._ad]
+    builder = SpanBuilder(alg.dim)
+    todo = list(start)
+    while todo:
+        vec = todo.pop()
+        for ad in maps:
+            value = apply_rows(vec, ad)
             if builder.insert(value):
                 todo.append(value)
     return builder.subspace()
@@ -158,8 +177,12 @@ def test_closure_and_ideal_test_match_bracket_loops(alg):
     for start in (_random_vectors(rng, alg.dim, 2), [{i: _F1} for i in range(min(alg.dim, 2))]):
         got = _ad_closure(alg, tuple(start), all_tuples)
         assert got == _closure_reference(alg, start, all_tuples)
-        # the closure is an ideal (part (i) of the lemma); a random line
-        # usually is not, and the two tests must agree on it as well
+        # the closure is an ideal (part (ii) of the lemma), and on an ideal
+        # one application of the maps is already closed (part (i))
+        once = _ad_images(alg, got.rows.values(), alg._ad.values())
+        assert once == _ad_closure(alg, got.rows.values(), all_tuples)
+        # a random line usually is not an ideal, and the two tests must
+        # agree on it as well
         for space in (got, Subspace.from_vectors(start[:1], alg.dim)):
             sub = alg.subspace(space.basis)
             full = alg.full_subspace()
@@ -188,6 +211,6 @@ def test_closure_matches_bracket_loop_on_lift_kernels(label, c, seed):
         reference.append(_closure_reference(free_alg, reference[-1].basis, generators))
     assert [u.space for u in chain] == reference
     quotient, _ = _quotient(free_alg, chain[-1].space)
-    assert [z.space for z in _upper_central_series(quotient, generators)] == _upper_reference(
+    assert _upper_central_series(quotient, generators) == _upper_reference(
         quotient, generators
     )

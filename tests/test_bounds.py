@@ -170,7 +170,7 @@ def test_run_catalog_rejects_bad_cmax():
     with pytest.raises(ValueError):
         run_catalog(0)
     with pytest.raises(ValueError):
-        run_catalog(5)
+        run_catalog(6)
 
 
 def test_catalog_flags_non_nilpotent_entries():

@@ -245,7 +245,7 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
         (["count", "-n", "2", "-d", "2", "-w", "0", "--formula"],
          "error: need d >= 1, n >= 2, w >= 1\n"),
         (["series", "heisenberg(1,1)"], "error: arity must be at least 2\n"),
-        (["bounds", "--c-max", "5"], "error: c_max must be between 1 and 4\n"),
+        (["bounds", "--c-max", "6"], "error: c_max must be between 1 and 5\n"),
         (["table", "-n", "2", "--d-max", "21", "--w-max", "20"],
          "error: comparison grid has 420 cells, limit is 400\n"),
         (["graded", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "0"],

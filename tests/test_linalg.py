@@ -320,20 +320,14 @@ def test_hilbert_matrix_rref_is_identity():
     assert left_kernel(hilbert, size) == Subspace.zero(size)
 
 
-def _assert_primitive_rows(builder):
-    """Every builder row is an int dict with content 1, positive at its own
-    pivot (its first column) and 0 at every other row's pivot, and dividing
-    by the pivot entry gives the reduced echelon basis."""
-    rows = builder._rows
+def _assert_semi_echelon(rows):
+    """Every builder row is an int dict with content 1, keyed by its first
+    column and positive there, so no two rows share a first column."""
     for p, row in rows.items():
         assert min(row) == p and row[p] > 0
         assert all(type(x) is int and x for x in row.values())
         assert gcd(*row.values()) == 1
-        assert not any(q in row for q in rows if q != p)
-    space = builder.subspace()
-    _assert_reduced_echelon(space)
-    for vec, p in zip(space.basis, space.pivots):
-        assert vec == {col: Fraction(x, rows[p][p]) for col, x in rows[p].items()}
+    assert len({min(row) for row in rows.values()}) == len(rows)
 
 
 @given(rational_matrices(max_rows=7, max_cols=6))
@@ -341,10 +335,25 @@ def test_builder_rows_stay_primitive_after_every_insert(rows):
     ncols = len(rows[0])
     builder = SpanBuilder(ncols)
     for i, row in enumerate(rows):
+        before = {p: dict(r) for p, r in builder.rows.items()}
         grew = builder.insert(row)
-        _assert_primitive_rows(builder)
+        _assert_semi_echelon(builder.rows)
+        # an insert adds at most one row and changes no stored one
+        assert {p: builder.rows[p] for p in before} == before
+        assert builder.dim == len(before) + grew
         assert grew == (builder.dim == Subspace.from_vectors(rows[:i], ncols).dim + 1)
-    assert builder.subspace() == Subspace.from_vectors(rows, ncols)
+    semi = [dict(r) for r in builder.rows.values()]
+    space = builder.subspace()
+    # the unique form: primitive, positive at its own pivot and 0 at every
+    # other pivot, and the basis is each row divided by its pivot entry
+    _assert_semi_echelon(space.rows)
+    _assert_reduced_echelon(space)
+    for vec, p in zip(space.basis, space.pivots):
+        row = space.rows[p]
+        assert vec == {col: Fraction(x, row[p]) for col, x in row.items()}
+    assert space == Subspace.from_vectors(rows[::-1], ncols)
+    assert space == Subspace.from_vectors(semi[::-1], ncols)
+    assert space == Subspace.from_vectors(rows, ncols)
 
 
 def _eliminate(v, rows):

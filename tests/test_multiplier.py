@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -17,9 +18,12 @@ from nlie.algebra import (
     z_term,
 )
 from nlie.bounds import catalog_algebras
+from nlie import free_algebra, multiplier
 from nlie.free_algebra import free_nilpotent, graded_dimension
+from nlie.linalg import subspace_intersect
 from nlie.multiplier import (
     _check_homomorphism,
+    _gamma_cap_kernel,
     gamma_ideal_chain,
     heisenberg_multiplier_dim,
     is_capable,
@@ -163,7 +167,7 @@ def test_heisenberg_c3_multiplier_closed_form():
     assert got == heisenberg_multiplier_dim(2, 2, 3) == 60
 
 
-@pytest.mark.parametrize("n,m,c,want", [(3, 2, 1, 19), (2, 2, 4, 204), (3, 2, 2, 210)])
+@pytest.mark.parametrize("n,m,c,want", [(3, 2, 1, 19), (2, 2, 4, 204), (3, 2, 2, 210), (2, 2, 5, 670)])
 def test_large_heisenberg_multipliers_closed_form(n, m, c, want):
     got = multiplier_report(heisenberg(n, m), c).multiplier_dim
     assert got == heisenberg_multiplier_dim(n, m, c) == want
@@ -184,7 +188,7 @@ def _cross_check_generator_routes(alg, c, lifts=None):
     assert is_ideal(free_alg, chain[-1])
     quotient, _ = quotient_algebra(free_alg, chain[-1])
     tuples = list(combinations(range(p.free.d), free_alg.n - 1))
-    assert [z.space for z in _upper_central_series(quotient, tuples)] == [
+    assert _upper_central_series(quotient, tuples) == [
         z.space for z in upper_central_series(quotient)
     ]
 
@@ -203,6 +207,17 @@ def test_generator_routes_match_exhaustive_on_catalog(alg, c):
 def test_generator_routes_match_exhaustive_under_lifts(n, m, c, seed):
     alg = heisenberg(n, m)
     _cross_check_generator_routes(alg, c, random_lifts(alg, seed))
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("alg", [alg for _, alg in CATALOG], ids=[label for label, _ in CATALOG])
+def test_numerator_filter_matches_intersection(alg, c, lifted):
+    """gamma_{c+1}(E) /\\ Rbar read off Rbar's rows against the Zassenhaus
+    intersection it replaced, with default and with seeded random lifts."""
+    p = present(alg, c, random_lifts(alg, 7 * c) if lifted else None)
+    want = subspace_intersect(p.free.layer_span(c + 1), p.kernel.space)
+    assert _gamma_cap_kernel(p) == want
 
 
 def test_homomorphism_check_covers_every_table_entry():
@@ -289,6 +304,24 @@ def test_equivalence_of_star_membership_and_dimension_identity():
         cap = subspace_intersect(m.space, gamma_term(alg, c + 1).space).dim
         rhs = multiplier_report(alg, c).multiplier_dim + cap
         assert member == (lhs == rhs)
+
+
+def test_multiplier_report_leaves_nothing_for_the_cyclic_gc():
+    """The multiplier path makes no reference cycles either: the tree
+    evaluation recurses through a module-level function, and an algebra
+    keeps its series as plain subspaces, not as AlgebraSubspaces that refer
+    back to it."""
+    free_algebra.clear_caches()
+    multiplier.clear_cache()
+    gc.collect()
+    gc.disable()
+    try:
+        multiplier_report(heisenberg(2, 2), 2)
+        free_algebra.clear_caches()
+        multiplier.clear_cache()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_report_fields_are_consistent():
