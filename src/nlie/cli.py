@@ -74,7 +74,17 @@ def _parse_constructor(text: str, max_trees: int | None) -> StructureAlgebra | N
     if not match:
         return None
     name = match.group(1).lower().replace("-", "_")
-    raw_args = _split_top_level(match.group(2)) if match.group(2).strip() else []
+    try:
+        raw_args = _split_top_level(match.group(2)) if match.group(2).strip() else []
+    except InputError:
+        # the regex spans the first '(' to the last ')', so balanced text
+        # such as "heisenberg(2,1)+abelian(2)" lands here too; truly
+        # unbalanced text raises again here, on the whole argument
+        _split_top_level(text)
+        raise InputError(
+            f"{text.strip()!r} is not one constructor call; "
+            "combine algebras with direct_sum(A, B)"
+        ) from None
 
     def ints(expected: int) -> list[int]:
         if len(raw_args) != expected or not all(re.fullmatch(r"-?\d+", a) for a in raw_args):

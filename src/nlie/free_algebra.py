@@ -350,7 +350,17 @@ def _identity_instance_rows(
     n: int, w: int, table: _TreeIds, pool: list[tuple[int, int]], wanted: set[int] | None,
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Direct Jacobi-identity instances of weight w on canonical trees, with
-    their multidegree keys; only keys in ``wanted`` (all when None)."""
+    their multidegree keys; only keys in ``wanted`` (all when None).
+
+    For n = 2 only one instance per set of three trees is generated: the
+    one with ts = (a, b) and ss = (c,) for a < b < c.  The row of
+    ts = (t1, t2), ss = (s) is C(t1, t2, s) = [[t1,t2],s] + [[t2,s],t1] +
+    [[s,t1],t2].  A cyclic shift of the arguments permutes its terms, and
+    swapping t1 and t2 negates every term while trading the last two, so C
+    is alternating in its three arguments: the instances on {a, b, c} are
+    all +-C(a, b, c).  A repeated tree makes the row 0, and such rows are
+    dropped anyway.  For n >= 3 the instance has no such symmetry between
+    ts and ss, and every pair is generated."""
     ids, start = table.ids, table.starts[w]
     keys, _ = table.multidegrees(w)
     for u in range(2, w):
@@ -361,7 +371,11 @@ def _identity_instance_rows(
         ]
         for ts in _weighted_tuples(pool, n, t_total):
             t_key = keys[ids[ts]]
+            # ids are >= 1, so for n >= 3 no ss is skipped
+            above = ts[1] if n == 2 else 0
             for ss, s_key in company:
+                if ss[0] <= above:
+                    continue
                 key = t_key + s_key
                 if wanted is not None and key not in wanted:
                     continue
@@ -420,7 +434,9 @@ def filippov_relations(
     n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES
 ) -> list[dict[int, int]]:
     """Every generated relation row of weight w, as sparse integer coordinate
-    vectors over ``canon_trees(n, d, w)``.  Empty for w <= 2 (no identity
+    vectors over ``canon_trees(n, d, w)``: the identity instances (for
+    n = 2 one per set of three trees, see :func:`_identity_instance_rows`)
+    and the wrapped lower relations.  Empty for w <= 2 (no identity
     instance fits below weight 3)."""
     return [row for _, row in _relation_rows(n, d, w, max_trees)]
 
@@ -510,7 +526,10 @@ def graded_component(
     and alternating in ts and in ss separately, so that is +-J(ts', ss'),
     where ts' and ss' are the canonical forms of sigma ts and sigma ss
     sorted ascending: the generated instance on pool tuples of the same
-    weights.  By induction on the weight, sigma R_v = R_v for v < w (there
+    weights.  For n = 2 only the instance C(a, b, c) with a < b < c is
+    generated on each set of three trees; C is alternating, so sigma of it
+    is +-C on the sorted canonical images, the generated instance on that
+    set.  By induction on the weight, sigma R_v = R_v for v < w (there
     is nothing below weight 3).  A wrapped row [r, p] with r in R_v maps
     to [sigma r, sigma p] = +-[sigma r, p'] for the sorted canonical
     payload p'; sigma r is a combination of any basis b of R_v, so this is

@@ -83,19 +83,23 @@ def compare_trees(a: Tree, b: Tree) -> int:
 
 
 def _sort_with_sign(keys) -> tuple[int, list]:
-    """``keys`` sorted ascending, with the parity of the sorting permutation
-    as +1/-1 (counted by inversions), or 0 when two keys coincide."""
-    ordered = sorted(keys)
-    k = len(ordered)
-    for i in range(k - 1):
-        if ordered[i] == ordered[i + 1]:
-            return 0, ordered
+    """``keys`` sorted ascending by one insertion-sort pass, with the parity
+    of the sorting permutation as +1/-1 (the sign flips at each swap), or 0
+    when two keys coincide.  A key inserted next to an equal one meets it as
+    the first key not above it, so one comparison per insertion finds every
+    repeat."""
+    ordered = list(keys)
     sign = 1
-    for i in range(k - 1):
-        a = keys[i]
-        for j in range(i + 1, k):
-            if a > keys[j]:
-                sign = -sign
+    for i in range(1, len(ordered)):
+        key = ordered[i]
+        j = i
+        while j and ordered[j - 1] > key:
+            ordered[j] = ordered[j - 1]
+            j -= 1
+            sign = -sign
+        ordered[j] = key
+        if j and ordered[j - 1] == key:
+            sign = 0
     return sign, ordered
 
 
@@ -107,10 +111,20 @@ def canonicalize(tree: Tree) -> tuple[int, Tree]:
     children.  Idempotent: canonical trees come back unchanged with sign +1.
 
     A bracket of generators takes a flat path: ints compare by index, which
-    is the generator order, so the children are sorted as they are.
+    is the generator order, so the children are sorted as they are.  A pair
+    of ints, the binary bracket of two interned trees, is settled by one
+    comparison.
     """
     if isinstance(tree, int):
         return 1, tree
+    if len(tree) == 2:
+        a, b = tree
+        if isinstance(a, int) and isinstance(b, int):
+            if a < b:
+                return 1, tree
+            if b < a:
+                return -1, (b, a)
+            return 0, tree
     for child in tree:
         if not isinstance(child, int):
             break

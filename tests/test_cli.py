@@ -252,6 +252,11 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
          "error: --max-trees must be at least 1\n"),
         (["count", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "-1"],
          "error: --max-trees must be at least 1\n"),
+        (["zcstar", "heisenberg(2,1)+abelian(2)", "-c", "2"],
+         "error: 'heisenberg(2,1)+abelian(2)' is not one constructor call; "
+         "combine algebras with direct_sum(A, B)\n"),
+        (["multiplier", "heisenberg(2,1))", "-c", "1"],
+         "error: unbalanced parentheses in 'heisenberg(2,1))'\n"),
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv) == (2, "", message), argv

@@ -136,6 +136,59 @@ def test_block_elimination_matches_one_elimination_of_all_relations(n, d, w):
         assert len({_multidegree(component.trees[col], d) for col in row}) == 1
 
 
+def _binary_instances(d, w):
+    """Every identity instance (ts, ss) of the binary layer (2, d, w) with
+    its row, as the instance loop generated them before the one-per-triple
+    filter: each pair ts of canonical trees with each single tree ss of the
+    complementary weight."""
+    table = free_algebra._tree_ids(2, d, w)
+    pool = table.pool(w)
+    ids, start = table.ids, table.starts[w]
+    for u in range(2, w):
+        company = list(free_algebra._weighted_tuples(pool, 1, w - u))
+        for ts in free_algebra._weighted_tuples(pool, 2, u):
+            for ss in company:
+                yield ts, ss, free_algebra._instance_row(ts, ss, ids, start)
+
+
+@pytest.mark.parametrize("d,w", [(d, w) for n, d, w in ORACLE_LAYERS if n == 2 and w >= 3])
+def test_one_instance_per_triple_spans_every_instance(d, w):
+    """On every binary oracle layer, R_w is the span of all identity
+    instances and all wrapped lower relations, as generated before the
+    one-per-triple filter."""
+    component = graded_component(2, d, w)
+    table = free_algebra._tree_ids(2, d, w)
+    rows = [row for _, _, row in _binary_instances(d, w)]
+    rows += [
+        row for _, row in
+        free_algebra._wrapped_relation_rows(2, d, w, table, table.pool(w), None, None)
+    ]
+    assert component.relations == Subspace.from_vectors(rows, len(component.trees))
+
+
+@pytest.mark.parametrize("d,w", [(3, 5), (4, 6)])
+def test_dropped_binary_instances_are_kept_rows_up_to_sign(d, w):
+    """Each instance the filter drops is +- the kept instance C(a, b, c),
+    a < b < c, on the same three trees (or 0 when a tree repeats)."""
+    table = free_algebra._tree_ids(2, d, w)
+    ids, start = table.ids, table.starts[w]
+    kept, dropped = [], 0
+    for ts, ss, row in _binary_instances(d, w):
+        if ss[0] > ts[1]:
+            kept.append(row)
+            continue
+        dropped += 1
+        a, b, c = sorted(ts + ss)
+        if len({a, b, c}) < 3:
+            assert row == {}
+            continue
+        kept_row = free_algebra._instance_row((a, b), (c,), ids, start)
+        assert row in (kept_row, {col: -x for col, x in kept_row.items()})
+    assert dropped >= 2 * len(kept) > 0
+    generated = free_algebra._identity_instance_rows(2, w, table, table.pool(w), None)
+    assert [row for _, row in generated] == [row for row in kept if row]
+
+
 # sha256 of json.dumps(component_to_json(graded_component(n, d, w))), taken
 # from the nested-tree route before the rank oracle moved to interned tree
 # ids: the trees, the reduced echelon relation basis and the layer basis

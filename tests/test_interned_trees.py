@@ -5,7 +5,7 @@ and the expansion of identity instances and wrapped relation rows."""
 import gc
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -63,6 +63,9 @@ def _nested_of(table, w):
 
 
 def test_flat_int_path_matches_inversion_count():
+    for length in range(1, 6):
+        for seq in product(range(1, 5), repeat=length):
+            assert canonicalize(seq) == _inversion_reference(seq), seq
     rng = random.Random(20261018)
     for length in range(2, 6):
         for _ in range(400):
@@ -73,7 +76,7 @@ def test_flat_int_path_matches_inversion_count():
 
 
 def test_flat_int_path_covers_every_permutation():
-    for length in range(2, 6):
+    for length in range(2, 7):
         for perm in permutations(range(1, length + 1)):
             assert canonicalize(perm) == _inversion_reference(perm)
 

@@ -56,6 +56,10 @@ def test_canonicalize_nested():
     # inner swap contributes -1, then the generator sorts below the bracket
     # for another -1, so the total sign is +1
     assert canonicalize(((2, 1), 3)) == (1, (3, (1, 2)))
+    # a pair with a bracket child is sorted by the tree order, never as ints
+    assert canonicalize(((1, 2), 1)) == (-1, (1, (1, 2)))
+    assert canonicalize((1, (1, 2))) == (1, (1, (1, 2)))
+    assert canonicalize(((1, 2), (1, 2))) == (0, ((1, 2), (1, 2)))
 
 
 def test_canonicalize_parity_agrees_with_inversion_count():
