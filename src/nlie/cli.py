@@ -35,7 +35,6 @@ from .free_algebra import (
     free_nilpotent,
     graded_component,
     graded_dimension,
-    set_component_cache_dir,
 )
 from .linalg import frac_str
 from .multiplier import multiplier_report, z_star
@@ -362,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_TREES,
         help="resource guard on canonical-tree enumeration (default 200000)",
     )
-    common.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for the persisted graded-component cache "
-        "(env NLIE_CACHE_DIR is the default)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -500,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get("NLIE_CACHE_DIR")
-    set_component_cache_dir(cache_dir or None)
     try:
         if args.max_trees < 1:
             raise InputError("--max-trees must be at least 1")
@@ -514,8 +505,6 @@ def main(argv=None) -> int:
         # analysis): the answer it guards is not printed
         print(f"error: internal self-check failed: {exc}", file=sys.stderr)
         return 4
-    finally:
-        set_component_cache_dir(None)
 
 
 def entry() -> None:

@@ -21,29 +21,22 @@ follows as one contiguous id range, so a layer column is id - start(w).
 A bracket of canonical trees is then a tuple of ids, and canonicalizing it
 is one flat :func:`canonicalize` of ints and one dict lookup; generator
 relabellings become id -> (sign, id) maps.  Nested tuples appear only at
-the boundaries: :func:`canon_trees`, :class:`GradedComponent` and the JSON
-cache.
+the boundaries: :func:`canon_trees` and :class:`GradedComponent`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator
 
 from .algebra import StructureAlgebra
-from .linalg import SpanBuilder, Subspace, _integral, frac_str
-from .trees import Tree, canonicalize, tree_from_json, tree_to_json, tree_to_str
+from .linalg import SpanBuilder, Subspace
+from .trees import Tree, canonicalize, tree_to_str
 
 DEFAULT_MAX_TREES = 200_000
-COMPONENT_FORMAT = "nlie-graded-component-v2"
 
-_component_cache_dir: str | None = None
 _TREE_IDS: dict[tuple[int, int], "_TreeIds"] = {}
 _COMPONENT_CACHE: dict[tuple[int, int, int], "GradedComponent"] = {}
 _FREE_CACHE: dict[tuple[int, int, int], "FreeNilpotentAlgebra"] = {}
@@ -51,12 +44,6 @@ _FREE_CACHE: dict[tuple[int, int, int], "FreeNilpotentAlgebra"] = {}
 
 class ResourceLimitError(RuntimeError):
     """A tree-enumeration guard was exceeded."""
-
-
-def set_component_cache_dir(path: str | None) -> None:
-    """Directory for the persisted graded-component cache (None disables)."""
-    global _component_cache_dir
-    _component_cache_dir = path
 
 
 def _key_base(n: int, w: int) -> int:
@@ -212,15 +199,13 @@ class GradedComponent:
     part of R_w, so ``rank`` is known at once.  R_w as a :class:`Subspace`
     (``relations``), the layer basis (``basis_indices``,
     ``basis_position``) and the tree index are built on first read and
-    kept on the object; dimension-only callers never build them.  A
-    component loaded from the disk cache holds its subspace rows as its
-    blocks, grouped by the multidegree of their pivot tree.
+    kept on the object; dimension-only callers never build them.
     """
 
     def __init__(
         self, n: int, d: int, w: int, table: "_TreeIds",
         blocks: dict[tuple[int, ...], list[dict[int, int]]],
-        block_keys: Iterable[tuple[int, ...]], relations: Subspace | None = None,
+        block_keys: Iterable[tuple[int, ...]],
     ):
         self.n, self.d, self.w = n, d, w
         self.trees: tuple[Tree, ...] = table.layers[w]
@@ -228,8 +213,6 @@ class GradedComponent:
         self.rank = sum(len(blocks[_representative(m)]) for m in self.block_keys)
         self._table = table
         self._blocks = blocks
-        if relations is not None:
-            self.relations = relations
 
     @staticmethod
     def build(
@@ -564,10 +547,6 @@ def graded_component(
     cached = _COMPONENT_CACHE.get(key)
     if cached is not None:
         return cached
-    loaded = _load_component(n, d, w)
-    if loaded is not None:
-        _COMPONENT_CACHE[key] = loaded
-        return loaded
     table = _tree_ids(n, d, w, max_trees)
     width = len(table.layers[w])
     start = table.starts[w]
@@ -582,7 +561,6 @@ def graded_component(
         builder.insert(row)
     component = GradedComponent.build(n, d, w, table, base, builders, blocks)
     _COMPONENT_CACHE[key] = component
-    _store_component(component)
     return component
 
 
@@ -665,140 +643,15 @@ def free_nilpotent(
     return result
 
 
-# -- persisted component cache -------------------------------------------------
-
-
-def _component_path(n: int, d: int, w: int) -> str | None:
-    if _component_cache_dir is None:
-        return None
-    return os.path.join(_component_cache_dir, f"component_n{n}_d{d}_w{w}.json")
-
-
-def component_to_json(comp: GradedComponent) -> dict:
-    return {
-        "format": COMPONENT_FORMAT,
-        "n": comp.n,
-        "d": comp.d,
-        "w": comp.w,
-        "trees": [tree_to_json(t) for t in comp.trees],
-        "relation_pivots": list(comp.relations.pivots),
-        "relation_rows": [
-            [[col, frac_str(x)] for col, x in sorted(row.items())]
-            for row in comp.relations.basis
-        ],
-        "basis_indices": list(comp.basis_indices),
-        "dim": comp.dim,
-    }
-
-
-def _reduced_echelon(rows: list[dict], pivots: tuple[int, ...], width: int) -> bool:
-    """Whether ``rows`` is a reduced echelon basis of F^width with these
-    pivots: pivots strictly increasing, each row nonzero only from its
-    pivot on and below ``width``, 1 at its own pivot and 0 at every other
-    pivot.  :meth:`Subspace.reduce` is only correct on such rows."""
-    if len(rows) != len(pivots) or any(q <= p for p, q in zip(pivots, pivots[1:])):
-        return False
-    pivot_set = set(pivots)
-    for row, p in zip(rows, pivots):
-        if not row or min(row) != p or max(row) >= width or row[p] != 1:
-            return False
-        if not all(row.values()) or any(col in pivot_set for col in row if col != p):
-            return False
-    return True
-
-
-def component_from_json(obj: dict, n: int, d: int, w: int) -> GradedComponent | None:
-    """Rebuild a cached component; None when the entry fails validation."""
-    try:
-        if obj.get("format") != COMPONENT_FORMAT:
-            return None
-        if (obj["n"], obj["d"], obj["w"]) != (n, d, w):
-            return None
-        trees = tuple(tree_from_json(t) for t in obj["trees"])
-        # the tree order fixes the meaning of every column, so the list
-        # must be the canonical one; enumerating it is bounded by the
-        # entry's own length
-        if trees != canon_trees(n, d, w, max_trees=len(trees)):
-            return None
-        pivots = tuple(obj["relation_pivots"])
-        rows = []
-        for entries in obj["relation_rows"]:
-            row = {col: Fraction(x) for col, x in entries if isinstance(col, int)}
-            if len(row) != len(entries):
-                return None
-            rows.append(row)
-        if not _reduced_echelon(rows, pivots, len(trees)):
-            return None
-        # the rows become the blocks, grouped by their pivot's multidegree
-        table = _TREE_IDS[(n, d)]
-        keys, base = table.multidegrees(w)
-        start = table.starts[w]
-        relations = Subspace(len(trees), {p: _integral(row)[0] for p, row in zip(pivots, rows)})
-        blocks: dict[tuple[int, ...], list[dict[int, int]]] = {}
-        for p, row in relations.rows.items():
-            blocks.setdefault(_digits(keys[start + p], base, d), []).append(row)
-        comp = GradedComponent(n, d, w, table, blocks, blocks, relations)
-        if comp.dim != obj["dim"] or list(comp.basis_indices) != obj["basis_indices"]:
-            return None
-        return comp
-    except (
-        AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError, ResourceLimitError
-    ):
-        return None
-
-
-def _load_component(n: int, d: int, w: int) -> GradedComponent | None:
-    path = _component_path(n, d, w)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return component_from_json(obj, n, d, w)
-
-
-def _store_component(comp: GradedComponent) -> None:
-    """Persist ``comp`` through a uniquely named temporary file renamed over
-    the target, so concurrent writers never interleave.  An unusable cache
-    directory is reported once on stderr and the cache is switched off."""
-    path = _component_path(comp.n, comp.d, comp.w)
-    if path is None:
-        return
-    directory = os.path.dirname(path)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".component-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(component_to_json(comp), fh)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError as exc:
-        print(
-            f"warning: cache directory {directory!r} is unusable "
-            f"({exc.strerror or exc}); continuing without a cache",
-            file=sys.stderr,
-        )
-        set_component_cache_dir(None)
-
-
 def clear_caches() -> None:
     """Empty every module-level memo of this module: the interned-tree
     tables (``_TREE_IDS``, which also hold what :func:`canon_trees`
     returns), the graded components (``_COMPONENT_CACHE``) and the free
-    nilpotent quotients (``_FREE_CACHE``).  The disk cache is untouched.
-    What a component builds lazily (its relabelled blocks, ``relations``,
-    ``basis_indices``, ``basis_position`` and ``tree_index``) is kept on
-    the component itself, so it goes with these memos: the next call
-    builds a fresh component with none of it.
-
-    The tree-order memos ``trees._KEY_CACHE`` and ``trees._WEIGHT_CACHE``
-    are deliberately left warm: clearing them here would change what the
-    cold jobs of the benchmark measure, which call this between jobs."""
+    nilpotent quotients (``_FREE_CACHE``).  What a component builds lazily
+    (its relabelled blocks, ``relations``, ``basis_indices``,
+    ``basis_position`` and ``tree_index``) is kept on the component itself,
+    so it goes with these memos: the next call builds a fresh component
+    with none of it."""
     _TREE_IDS.clear()
     _COMPONENT_CACHE.clear()
     _FREE_CACHE.clear()

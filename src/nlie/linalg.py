@@ -180,8 +180,10 @@ class SpanBuilder:
             _clear(v, p, rows[p])
         if not v:
             return False
-        if max(v) >= self.ambient:
-            raise AmbientMismatchError(f"coordinate {max(v)} outside ambient {self.ambient}")
+        if p < 0 or max(v) >= self.ambient:
+            raise AmbientMismatchError(
+                f"coordinates {p}..{max(v)} not all in range({self.ambient})"
+            )
         _make_primitive(v, p)
         rows[p] = v
         return True
@@ -322,12 +324,20 @@ def left_kernel(rows: Sequence[VectorLike], ncols: int) -> Subspace:
     """The space of row vectors x with x . M = 0, for M given by ``rows``.
 
     The result lives in F^len(rows); it is read off the augmented rows
-    (row_i | e_i) whose echelon pivot falls in the identity block.
+    (row_i | e_i) whose echelon pivot falls in the identity block.  A sparse
+    row with a column outside range(ncols) would land in that block, so it
+    is rejected.
     """
     n = len(rows)
     if n == 0:
         return Subspace.zero(0)
-    augmented = [{**dict(_entries(row, ncols)), ncols + i: 1} for i, row in enumerate(rows)]
+    augmented = []
+    for i, row in enumerate(rows):
+        entries = dict(_entries(row, ncols))
+        if entries and (min(entries) < 0 or max(entries) >= ncols):
+            raise AmbientMismatchError(f"row {i} has a column outside range({ncols})")
+        entries[ncols + i] = 1
+        augmented.append(entries)
     return _upper_block(augmented, ncols, n)
 
 

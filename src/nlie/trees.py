@@ -19,9 +19,6 @@ from typing import Union
 
 Tree = Union[int, tuple]
 
-_KEY_CACHE: dict[Tree, tuple] = {}
-_WEIGHT_CACHE: dict[Tree, int] = {}
-
 
 def is_generator(tree: Tree) -> bool:
     return isinstance(tree, int)
@@ -53,11 +50,7 @@ def weight(tree: Tree) -> int:
     weights w_1..w_n has weight sum(w_i) - n + 2."""
     if is_generator(tree):
         return 1
-    cached = _WEIGHT_CACHE.get(tree)
-    if cached is None:
-        cached = sum(weight(child) for child in tree) - len(tree) + 2
-        _WEIGHT_CACHE[tree] = cached
-    return cached
+    return sum(weight(child) for child in tree) - len(tree) + 2
 
 
 def order_key(tree: Tree) -> tuple:
@@ -65,11 +58,7 @@ def order_key(tree: Tree) -> tuple:
     generator below every bracket, brackets by (weight, children lexicographically)."""
     if is_generator(tree):
         return (1, tree)
-    cached = _KEY_CACHE.get(tree)
-    if cached is None:
-        cached = (weight(tree),) + tuple(order_key(child) for child in tree)
-        _KEY_CACHE[tree] = cached
-    return cached
+    return (weight(tree),) + tuple(order_key(child) for child in tree)
 
 
 def compare_trees(a: Tree, b: Tree) -> int:
@@ -150,17 +139,3 @@ def tree_to_str(tree: Tree) -> str:
     if is_generator(tree):
         return f"x{tree}"
     return "[" + ",".join(tree_to_str(child) for child in tree) + "]"
-
-
-def tree_to_json(tree: Tree):
-    if is_generator(tree):
-        return tree
-    return [tree_to_json(child) for child in tree]
-
-
-def tree_from_json(obj) -> Tree:
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, list):
-        return tuple(tree_from_json(item) for item in obj)
-    raise ValueError(f"not a serialized tree: {obj!r}")

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from nlie import free_algebra
 from nlie.bounds import BoundCheck
 from nlie.cli import main
@@ -137,37 +139,22 @@ def test_byte_identical_repeats(capsys):
     assert first == second
 
 
-def test_component_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "cache"
+def test_cache_dir_option_is_gone(tmp_path, capsys, monkeypatch):
     free_algebra.clear_caches()
-    code, first, _ = run_cli(capsys, "graded", "-n", "2", "-d", "3", "-w", "4",
-                             "--cache-dir", str(cache))
+    code, plain, _ = run_cli(capsys, "graded", "-n", "2", "-d", "3", "-w", "4")
     assert code == 0
-    files = sorted(os.listdir(cache))
-    assert any(name.startswith("component_n2_d3") for name in files)
-
-    # a fresh in-memory state must load from the persisted cache
-    free_algebra.clear_caches()
-    code, second, _ = run_cli(capsys, "graded", "-n", "2", "-d", "3", "-w", "4",
-                              "--cache-dir", str(cache))
-    assert code == 0 and second == first
-
-    # corrupt entries are ignored and recomputed
-    target = cache / "component_n2_d3_w4.json"
-    target.write_text('{"format": "something-else"}')
-    free_algebra.clear_caches()
-    code, third, _ = run_cli(capsys, "graded", "-n", "2", "-d", "3", "-w", "4",
-                             "--cache-dir", str(cache))
-    assert code == 0 and third == first
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["graded", "-n", "2", "-d", "3", "-w", "4", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    # the environment variable that once selected the cache is ignored
     cache = tmp_path / "envcache"
+    cache.mkdir()
     monkeypatch.setenv("NLIE_CACHE_DIR", str(cache))
     free_algebra.clear_caches()
-    code, _, _ = run_cli(capsys, "graded", "-n", "2", "-d", "2", "-w", "3")
-    assert code == 0
-    assert cache.exists() and os.listdir(cache)
+    code, out, _ = run_cli(capsys, "graded", "-n", "2", "-d", "3", "-w", "4")
+    assert code == 0 and out == plain
+    assert not os.listdir(cache)
 
 
 def test_max_trees_guard(capsys):
@@ -176,36 +163,6 @@ def test_max_trees_guard(capsys):
                            "--max-trees", "10")
     assert code == 2
     assert "canonical trees" in err
-
-
-def test_unusable_cache_dir_warns_and_runs_uncached(tmp_path, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("not a directory")
-    free_algebra.clear_caches()
-    code, plain, _ = run_cli(capsys, "graded", "-n", "2", "-d", "2", "-w", "4")
-    free_algebra.clear_caches()
-    code, out, err = run_cli(capsys, "graded", "-n", "2", "-d", "2", "-w", "4",
-                             "--cache-dir", str(blocker / "sub"))
-    assert code == 0 and out == plain
-    assert err.startswith("warning: cache directory") and err.count("\n") == 1
-
-
-def test_stale_v1_cache_entry_is_recomputed_as_v2(tmp_path, capsys):
-    free_algebra.clear_caches()
-    comp = free_algebra.graded_component(2, 3, 4)
-    old = free_algebra.component_to_json(comp)
-    del old["relation_rows"]
-    old["format"] = "nlie-graded-component-v1"
-    old["relation_basis"] = [
-        [str(row.get(c, 0)) for c in range(len(comp.trees))] for row in comp.relations.basis
-    ]
-    target = tmp_path / "component_n2_d3_w4.json"
-    target.write_text(json.dumps(old))
-    free_algebra.clear_caches()
-    code, out, _ = run_cli(capsys, "graded", "-n", "2", "-d", "3", "-w", "4",
-                           "--cache-dir", str(tmp_path))
-    assert code == 0 and json.loads(out)["dim"] == comp.dim
-    assert json.loads(target.read_text())["format"] == free_algebra.COMPONENT_FORMAT
 
 
 NON_FILIPPOV = {

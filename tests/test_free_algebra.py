@@ -1,6 +1,3 @@
-import hashlib
-import json
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,8 +13,6 @@ from nlie import free_algebra
 from nlie.free_algebra import (
     ResourceLimitError,
     canon_trees,
-    component_from_json,
-    component_to_json,
     filippov_relations,
     free_nilpotent,
     graded_component,
@@ -25,6 +20,8 @@ from nlie.free_algebra import (
 )
 from nlie.linalg import Subspace
 from nlie.trees import canonicalize, weight
+
+from layer_record import layer_sha256
 
 
 def witt(d, w):
@@ -189,7 +186,7 @@ def test_dropped_binary_instances_are_kept_rows_up_to_sign(d, w):
     assert [row for _, row in generated] == [row for row in kept if row]
 
 
-# sha256 of json.dumps(component_to_json(graded_component(n, d, w))), taken
+# layer_sha256(graded_component(n, d, w)) (see layer_record.py), taken
 # from the nested-tree route before the rank oracle moved to interned tree
 # ids: the trees, the reduced echelon relation basis and the layer basis
 # must stay byte-identical, not only the dimensions.
@@ -205,8 +202,7 @@ RELATION_BASIS_SHA256 = {
 @pytest.mark.parametrize("n,d,w", sorted(RELATION_BASIS_SHA256))
 def test_relation_basis_is_pinned(n, d, w):
     free_algebra.clear_caches()
-    text = json.dumps(component_to_json(graded_component(n, d, w)))
-    assert hashlib.sha256(text.encode()).hexdigest() == RELATION_BASIS_SHA256[(n, d, w)]
+    assert layer_sha256(graded_component(n, d, w)) == RELATION_BASIS_SHA256[(n, d, w)]
 
 
 def test_weight_three_rank_oracle():
@@ -382,65 +378,3 @@ def test_component_reduce_is_stable():
         again = component.reduce(residue)
         assert again == residue
 
-
-def test_component_json_v2_roundtrip():
-    comp = graded_component(2, 3, 4)
-    obj = json.loads(json.dumps(component_to_json(comp)))
-    assert obj["format"] == "nlie-graded-component-v2"
-    assert all(isinstance(col, int) and isinstance(x, str)
-               for row in obj["relation_rows"] for col, x in row)
-    assert component_from_json(obj, 2, 3, 4) == comp
-    assert component_from_json(obj, 2, 3, 5) is None
-
-
-def test_component_json_rejects_v1_and_non_reduced_rows():
-    comp = graded_component(2, 4, 4)
-    assert comp.relations.dim >= 2
-    obj = component_to_json(comp)
-    assert component_from_json({**obj, "format": "nlie-graded-component-v1"}, 2, 4, 4) is None
-    assert component_from_json([obj], 2, 4, 4) is None
-    # a nonzero entry at another row's pivot breaks the one-pass reduction
-    first, foreign = obj["relation_pivots"][:2]
-    tampered = json.loads(json.dumps(obj))
-    tampered["relation_rows"][0] = sorted(tampered["relation_rows"][0] + [[foreign, "1"]])
-    assert component_from_json(tampered, 2, 4, 4) is None
-    unnormalized = json.loads(json.dumps(obj))
-    unnormalized["relation_rows"][0][0] = [first, "2"]
-    assert component_from_json(unnormalized, 2, 4, 4) is None
-
-
-def test_component_json_rejects_swapped_trees():
-    comp = graded_component(2, 2, 4)
-    obj = json.loads(json.dumps(component_to_json(comp)))
-    assert component_from_json(obj, 2, 2, 4) == comp
-    swapped = json.loads(json.dumps(obj))
-    swapped["trees"][0], swapped["trees"][1] = swapped["trees"][1], swapped["trees"][0]
-    assert component_from_json(swapped, 2, 2, 4) is None
-    # a short list is rejected; the canonical enumeration stops at its length
-    free_algebra.clear_caches()
-    truncated = {**obj, "trees": obj["trees"][:-1]}
-    assert component_from_json(truncated, 2, 2, 4) is None
-
-
-def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
-    comp = graded_component(2, 2, 4)
-    real_dump = json.dump
-    interleaved = []
-
-    def dump_with_a_second_writer(obj, fh):
-        # another writer stores the same entry while this one is mid-write
-        if not interleaved:
-            interleaved.append(True)
-            free_algebra._store_component(comp)
-        real_dump(obj, fh)
-
-    monkeypatch.setattr(json, "dump", dump_with_a_second_writer)
-    free_algebra.set_component_cache_dir(str(tmp_path))
-    try:
-        free_algebra._store_component(comp)
-    finally:
-        free_algebra.set_component_cache_dir(None)
-    assert interleaved
-    assert os.listdir(tmp_path) == ["component_n2_d2_w4.json"]
-    stored = json.loads((tmp_path / "component_n2_d2_w4.json").read_text())
-    assert component_from_json(stored, 2, 2, 4) == comp

@@ -1,24 +1,18 @@
 """The rank oracle without re-reduction: a layer's rank is read off its
 orbit representatives, the next weight wraps the block rows as they are, and
 the reduced echelon basis is built only when something reads it.  Checked
-against the full block-by-block route, against outputs pinned before the
-change, and across the disk cache."""
+against the full block-by-block route and against outputs pinned before the
+change."""
 
 import hashlib
-import json
-import os
 
 import pytest
 
 from nlie import cli, free_algebra
-from nlie.free_algebra import (
-    _relation_rows,
-    _representative,
-    canon_trees,
-    component_to_json,
-    graded_component,
-)
+from nlie.free_algebra import _relation_rows, canon_trees, graded_component
 from nlie.linalg import SpanBuilder, Subspace
+
+from layer_record import layer_sha256
 
 LAZY = {"relations", "basis_indices", "basis_position", "tree_index"}
 
@@ -108,71 +102,40 @@ def test_graded_stdout_is_pinned(capsys, n, d, w, basis):
     assert hashlib.sha256(out.encode()).hexdigest() == GRADED_STDOUT_SHA256[(n, d, w, basis)]
 
 
-# sha256 of every file ``nlie graded --cache-dir`` writes for the four
-# layers of the oracle benchmark, taken before the change
-CACHE_FILE_SHA256 = {
+# sha256 of the layer record (see layer_record.py) of every layer 3..w that
+# ``nlie graded`` builds for the four layers of the oracle benchmark: the
+# hashes of the files the persisted component cache wrote for them, taken
+# before the reduced echelon basis became lazy
+LAYER_SHA256 = {
     (2, 4, 6): {
-        "component_n2_d4_w3.json": "1d37e413ee241038450a76871adfb4a0047d72c4d6b8d1b2308ceef963dc2471",
-        "component_n2_d4_w4.json": "f47b52f8417280aea88a10784613cbe7548538cffc68ad6dfb1acff0e691db30",
-        "component_n2_d4_w5.json": "af35bfa7c737f254da96d41354c41f345b7334f9f7eedc64b103cc638ec016ac",
-        "component_n2_d4_w6.json": "157b109a093088b1ca237f9f74c54269276252c5fbb018628bb4674430f38d93",
+        3: "1d37e413ee241038450a76871adfb4a0047d72c4d6b8d1b2308ceef963dc2471",
+        4: "f47b52f8417280aea88a10784613cbe7548538cffc68ad6dfb1acff0e691db30",
+        5: "af35bfa7c737f254da96d41354c41f345b7334f9f7eedc64b103cc638ec016ac",
+        6: "157b109a093088b1ca237f9f74c54269276252c5fbb018628bb4674430f38d93",
     },
     (3, 4, 5): {
-        "component_n3_d4_w3.json": "c600ae05380cc2a571d8d7674e79d285e7d3635812d94cc15524cd15cdd28e5a",
-        "component_n3_d4_w4.json": "3dacd45f922db0b31cd3832c72e0fc57308a2759125deb9d5b6568b55695e0af",
-        "component_n3_d4_w5.json": "9f1ad321d0260c6575e1547094aec1fc177408085099f53e000442560785fc9c",
+        3: "c600ae05380cc2a571d8d7674e79d285e7d3635812d94cc15524cd15cdd28e5a",
+        4: "3dacd45f922db0b31cd3832c72e0fc57308a2759125deb9d5b6568b55695e0af",
+        5: "9f1ad321d0260c6575e1547094aec1fc177408085099f53e000442560785fc9c",
     },
     (3, 5, 4): {
-        "component_n3_d5_w3.json": "be8027f290421482c168028d6a968987cf9c1b13cc76835f5d695091883583b0",
-        "component_n3_d5_w4.json": "bcff0cfb3176ddb78e151ee190d30e14b39c1c40d4a651f62d2f7a8f8412f33b",
+        3: "be8027f290421482c168028d6a968987cf9c1b13cc76835f5d695091883583b0",
+        4: "bcff0cfb3176ddb78e151ee190d30e14b39c1c40d4a651f62d2f7a8f8412f33b",
     },
     (2, 2, 9): {
-        "component_n2_d2_w3.json": "1042b0b017eb0fa60fe06481d59766cd618c5b235d8b573b86cb8948bbe597a2",
-        "component_n2_d2_w4.json": "28deaf2009ea5ac6d80c8e484116efa79484be54c9b1be3a53091dd40cec7f05",
-        "component_n2_d2_w5.json": "7006642ce69c38dda5f95c0de5f9ecee9bf479162d5d93835a03677e295230e9",
-        "component_n2_d2_w6.json": "9d83c281eb813d1a22e6ed53893c6b3a0eaa909524255fa7498f26374b021d4b",
-        "component_n2_d2_w7.json": "c5c8d39be96d48105a85fbf5348baaaeac04e634b3dad75d5d43ee88ef22fdf5",
-        "component_n2_d2_w8.json": "f834e7067a459c8a5416d993638fb97c325f72477aabe536d1f682a676260419",
-        "component_n2_d2_w9.json": "07a20810bd89b11a38eadc70143d61e633444f5cbb56e341254cd26da8f5a4e6",
+        3: "1042b0b017eb0fa60fe06481d59766cd618c5b235d8b573b86cb8948bbe597a2",
+        4: "28deaf2009ea5ac6d80c8e484116efa79484be54c9b1be3a53091dd40cec7f05",
+        5: "7006642ce69c38dda5f95c0de5f9ecee9bf479162d5d93835a03677e295230e9",
+        6: "9d83c281eb813d1a22e6ed53893c6b3a0eaa909524255fa7498f26374b021d4b",
+        7: "c5c8d39be96d48105a85fbf5348baaaeac04e634b3dad75d5d43ee88ef22fdf5",
+        8: "f834e7067a459c8a5416d993638fb97c325f72477aabe536d1f682a676260419",
+        9: "07a20810bd89b11a38eadc70143d61e633444f5cbb56e341254cd26da8f5a4e6",
     },
 }
 
 
-@pytest.mark.parametrize("n,d,w", sorted(CACHE_FILE_SHA256))
-def test_cache_files_are_pinned(tmp_path, capsys, n, d, w):
-    try:
-        _graded_stdout(capsys, n, d, w, "--cache-dir", str(tmp_path))
-    finally:
-        free_algebra.set_component_cache_dir(None)
-    got = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in os.listdir(tmp_path)
-    }
-    assert got == CACHE_FILE_SHA256[(n, d, w)]
-
-
-@pytest.mark.parametrize("n,d,w", [(2, 3, 6), (2, 4, 6), (3, 4, 5), (2, 2, 9)])
-def test_loaded_lower_layers_then_cold_next_weight_match_all_cold(tmp_path, n, d, w):
-    """Lower layers read back from the disk cache hold their reduced echelon
-    rows as blocks; wrapping those gives the same next weight as the
-    all-cold route, where the lower blocks are relabelled rows."""
+@pytest.mark.parametrize("n,d,w", sorted(LAYER_SHA256))
+def test_cache_files_are_pinned(n, d, w):
     free_algebra.clear_caches()
-    cold = graded_component(n, d, w)
-    want = json.dumps(component_to_json(cold))
-    lower_cold = graded_component(n, d, w - 1)
-    # the cold lower layer has relabelled blocks, the loaded one has none
-    assert any(m != _representative(m) for m in lower_cold.block_keys)
-    free_algebra.set_component_cache_dir(str(tmp_path))
-    try:
-        free_algebra.clear_caches()
-        graded_component(n, d, w - 1)  # writes weights 3 .. w-1
-        free_algebra.clear_caches()
-        lower = graded_component(n, d, w - 1)
-        assert "relations" in vars(lower) and set(lower._blocks) == set(lower.block_keys)
-        assert lower.rank == lower_cold.rank
-        assert not (tmp_path / f"component_n{n}_d{d}_w{w}.json").exists()
-        warm = graded_component(n, d, w)
-    finally:
-        free_algebra.set_component_cache_dir(None)
-    assert warm.rank == cold.rank
-    assert json.dumps(component_to_json(warm)) == want
+    got = {v: layer_sha256(graded_component(n, d, v)) for v in range(3, w + 1)}
+    assert got == LAYER_SHA256[(n, d, w)]

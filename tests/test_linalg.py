@@ -199,6 +199,20 @@ def test_sum_ambient_mismatch():
         subspace_sum(Subspace.zero(2), Subspace.zero(3))
 
 
+def test_sparse_columns_out_of_range():
+    # column 1 of a 1-column matrix would land in the identity block and
+    # make a false kernel vector
+    with pytest.raises(AmbientMismatchError):
+        left_kernel([{0: 1}, {1: 1}], 1)
+    with pytest.raises(AmbientMismatchError):
+        left_kernel([{-1: 1}], 2)
+    builder = SpanBuilder(3)
+    for bad in ({-2: 1}, {3: 1}, {0: 1, 5: 2}):
+        with pytest.raises(AmbientMismatchError):
+            builder.insert(bad)
+    assert builder.dim == 0
+
+
 def test_left_kernel_annihilates():
     rows = [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)), (Fraction(0), Fraction(1))]
     k = left_kernel(rows, 2)

@@ -7,8 +7,6 @@ from nlie.trees import (
     check_tree,
     leaf_count,
     order_key,
-    tree_from_json,
-    tree_to_json,
     tree_to_str,
     weight,
 )
@@ -130,4 +128,3 @@ def test_check_tree_arity():
 def test_render_and_json_roundtrip():
     t = ((2, 1), 3)
     assert tree_to_str(t) == "[[x2,x1],x3]"
-    assert tree_from_json(tree_to_json(t)) == t
