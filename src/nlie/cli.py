@@ -215,7 +215,7 @@ def cmd_graded(args) -> int:
         "n": args.n,
         "d": args.d,
         "w": args.w,
-        "canonical_trees": len(component.trees),
+        "canonical_trees": component.width,
         "relation_rank": component.rank,
         "dim": component.dim,
     }

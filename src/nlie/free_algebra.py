@@ -21,7 +21,8 @@ follows as one contiguous id range, so a layer column is id - start(w).
 A bracket of canonical trees is then a tuple of ids, and canonicalizing it
 is one flat :func:`canonicalize` of ints and one dict lookup; generator
 relabellings become id -> (sign, id) maps.  Nested tuples appear only at
-the boundaries: :func:`canon_trees` and :class:`GradedComponent`.
+the boundaries, :func:`canon_trees` and :class:`GradedComponent`, and a
+layer's are built only when one of them reads it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import combinations, combinations_with_replacement, groupby, product, repeat
+from math import comb, prod
 from typing import Callable, Iterable, Iterator
 
 from .algebra import StructureAlgebra
@@ -67,21 +70,22 @@ class _TreeIds:
     """The canonical trees on d generators, interned as int ids in the total
     tree order: generator g is id g, then every canonical tree of weight 2,
     then of weight 3, and so on.  Grown a weight at a time by
-    :func:`canon_trees`.
+    :func:`_tree_ids`.
 
     * ``ids`` maps the kid-id tuple of a bracket to its id, and ``kids``
       maps an id back (``()`` for a generator and for the unused id 0);
     * ``starts[w]`` is the first id of weight w, ``starts[w + 1]`` one past
       its last;
-    * ``layers[w]`` holds the weight-w trees as nested tuples;
+    * ``runs`` maps each weight that has trees to its id range, ascending;
+    * ``layer(w)`` gives the weight-w trees as nested tuples, built on first
+      read (with every layer below) and kept;
     * ``multidegrees(w)`` gives the leaf multidegree of every tree as an
       array indexed by id.
 
     A canonical tree of weight w is a strictly increasing tuple of n
     canonical trees of weights summing to w + n - 2, and the tree order
     compares brackets by weight, then children lexicographically.  So
-    enumerating increasing id tuples of lower trees in lexicographic order
-    lists each layer in tree order.
+    :func:`_increasing_tuples` lists each layer in tree order.
     """
 
     def __init__(self, n: int, d: int):
@@ -90,38 +94,43 @@ class _TreeIds:
         self.ids: dict[tuple[int, ...], int] = {}
         self.kids: list[tuple[int, ...]] = [()] * (d + 1)
         self.starts = [0, 1, d + 1]
-        self.layers: list[tuple[Tree, ...]] = [(), tuple(range(1, d + 1))]
+        self.runs = {1: range(1, d + 1)} if d else {}
+        self._nested: list[Tree] = [None, *range(1, d + 1)]
+        self._layers: dict[int, tuple[Tree, ...]] = {}
         self._keys: list[int] = []
         self._base = 0
 
     @property
     def top(self) -> int:
-        return len(self.layers) - 1
-
-    def pool(self, w: int) -> list[tuple[int, int]]:
-        """(id, weight) of every tree of weight < w, in id order."""
-        starts = self.starts
-        return [(i, v) for v in range(1, w) for i in range(starts[v], starts[v + 1])]
+        return len(self.starts) - 2
 
     def add_layer(self, max_trees: int | None) -> None:
         """Intern the canonical trees of the next weight.  A layer of more
-        than ``max_trees`` trees raises before any of it is added."""
+        than ``max_trees`` trees raises before any of it is built."""
         n, v = self.n, self.top + 1
-        combos: list[tuple[int, ...]] = []
-        for combo in _weighted_tuples(self.pool(v), n, v + n - 2):
-            combos.append(combo)
-            if max_trees is not None and len(combos) > max_trees:
-                raise ResourceLimitError(
-                    f"more than {max_trees} canonical trees at (n={n}, d={self.d}, w={v})"
-                )
-        nested: list[Tree] = [None]
-        for layer in self.layers[1:]:
-            nested.extend(layer)
+        runs, total = self.runs, v + n - 2
+        size = sum(prod(comb(len(r), k) for r, k in g) for g in _run_groups(runs, n, total))
+        if max_trees is not None and size > max_trees:
+            raise ResourceLimitError(
+                f"more than {max_trees} canonical trees at (n={n}, d={self.d}, w={v})"
+            )
+        combos = _increasing_tuples(runs, n, total)
         start = len(self.kids)
         self.ids.update(zip(combos, range(start, start + len(combos))))
         self.kids.extend(combos)
-        self.layers.append(tuple(tuple(nested[i] for i in combo) for combo in combos))
         self.starts.append(start + len(combos))
+        if combos:
+            runs[v] = range(start, start + len(combos))
+
+    def layer(self, w: int) -> tuple[Tree, ...]:
+        """The weight-w trees (w <= top) as nested tuples."""
+        got = self._layers.get(w)
+        if got is None:
+            nested, kids, end = self._nested, self.kids, self.starts[w + 1]
+            for i in range(len(nested), end):
+                nested.append(tuple(nested[k] for k in kids[i]))
+            got = self._layers[w] = tuple(nested[self.starts[w]:end])
+        return got
 
     def multidegrees(self, w: int) -> tuple[list[int], int]:
         """``(keys, base)`` for a table grown to weight w or more: keys[i] is
@@ -138,15 +147,7 @@ class _TreeIds:
 
 
 def _tree_ids(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES) -> _TreeIds:
-    """The id table of (n, d), grown to weight w."""
-    canon_trees(n, d, w, max_trees)
-    return _TREE_IDS[(n, d)]
-
-
-def canon_trees(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES) -> tuple[Tree, ...]:
-    """All canonical trees of weight w on d generators, ascending in the
-    total tree order.  The layers below w are interned first, each by its
-    own call."""
+    """The id table of (n, d), grown to weight w a layer at a time."""
     if n < 2:
         raise ValueError("arity must be at least 2")
     if d < 0 or w < 1:
@@ -154,37 +155,38 @@ def canon_trees(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREE
     table = _TREE_IDS.get((n, d))
     if table is None:
         table = _TREE_IDS[(n, d)] = _TreeIds(n, d)
-    if w > table.top:
-        canon_trees(n, d, w - 1, max_trees)
+    while table.top < w:
         table.add_layer(max_trees)
-    return table.layers[w]
+    return table
 
 
-def _weighted_tuples(
-    pool: list[tuple[Tree, int]], slots: int, total: int
-) -> Iterator[tuple[Tree, ...]]:
-    """Strictly increasing tuples from the ordered pool with given total weight."""
-    return _extended(pool, 0, slots, total, [])
+def canon_trees(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES) -> tuple[Tree, ...]:
+    """All canonical trees of weight w on d generators, ascending in the
+    total tree order.  The layers below w are interned first."""
+    return _tree_ids(n, d, w, max_trees).layer(w)
 
 
-def _extended(
-    pool: list[tuple[Tree, int]], start: int, slots: int, total: int, acc: list[Tree]
-) -> Iterator[tuple[Tree, ...]]:
-    """The tuples of :func:`_weighted_tuples` that begin with ``acc`` and
-    take their other ``slots`` trees from pool[start:].  A plain recursive
-    function: a nested one would refer to itself and make a cycle."""
-    if slots == 0:
-        if total == 0:
-            yield tuple(acc)
-        return
-    budget = total - (slots - 1)
-    for i in range(start, len(pool)):
-        tree, tw = pool[i]
-        if tw > budget:
-            break
-        acc.append(tree)
-        yield from _extended(pool, i + 1, slots - 1, total - tw, acc)
-        acc.pop()
+def _run_groups(runs: dict[int, range], slots: int, total: int) -> Iterator[list[tuple[range, int]]]:
+    """For each nondecreasing sequence of ``slots`` weights of ``runs``
+    (ascending keys) summing to ``total``: the run of each distinct weight
+    in it with the number of times it is used, by ascending weight."""
+    for seq in combinations_with_replacement(runs, slots):
+        if sum(seq) == total:
+            yield [(runs[v], len(list(group))) for v, group in groupby(seq)]
+
+
+def _increasing_tuples(runs: dict[int, range], slots: int, total: int) -> list[tuple[int, ...]]:
+    """Every strictly increasing tuple of ``slots`` ids with weights summing
+    to ``total``, in lexicographic order.  ``runs`` maps each weight,
+    ascending, to its nonempty id range, and ids ascend with weight, so such
+    a tuple is a nondecreasing weight sequence with k increasing ids of the
+    run of each weight used k times: a product of combinations, joined."""
+    out: list[tuple[int, ...]] = []
+    for groups in _run_groups(runs, slots, total):
+        parts = product(*(combinations(run, k) for run, k in groups))
+        out.extend(map(sum, parts, repeat(())))
+    out.sort()
+    return out
 
 
 class GradedComponent:
@@ -196,10 +198,11 @@ class GradedComponent:
     orbit representative, and for every other block the representative's
     rows relabelled (:func:`_orbit_move`) when :meth:`block_rows` first
     asks for them, then kept here.  Each block's rows are a basis of its
-    part of R_w, so ``rank`` is known at once.  R_w as a :class:`Subspace`
-    (``relations``), the layer basis (``basis_indices``,
-    ``basis_position``) and the tree index are built on first read and
-    kept on the object; dimension-only callers never build them.
+    part of R_w, so ``rank`` is known at once (``width`` comes from the
+    table's ``starts``).  R_w as a :class:`Subspace` (``relations``), the
+    layer basis (``basis_indices``, ``basis_position``), the tree index and
+    the nested ``trees`` (kept on the table) are built on first read;
+    dimension-only callers build none of them.
     """
 
     def __init__(
@@ -208,7 +211,7 @@ class GradedComponent:
         block_keys: Iterable[tuple[int, ...]],
     ):
         self.n, self.d, self.w = n, d, w
-        self.trees: tuple[Tree, ...] = table.layers[w]
+        self.width = table.starts[w + 1] - table.starts[w]
         self.block_keys = tuple(sorted(block_keys))
         self.rank = sum(len(blocks[_representative(m)]) for m in self.block_keys)
         self._table = table
@@ -236,6 +239,10 @@ class GradedComponent:
     def __hash__(self) -> int:
         return hash((self.n, self.d, self.w))
 
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        return self._table.layer(self.w)
+
     def block_rows(self, m: tuple[int, ...]) -> list[dict[int, int]]:
         """Integer rows forming a basis of the multidegree-m part of R_w
         (columns = layer positions); not copies."""
@@ -252,11 +259,10 @@ class GradedComponent:
     def relations(self) -> Subspace:
         """R_w: one elimination of each block's rows (the blocks have
         disjoint columns)."""
-        width = len(self.trees)
         rows: dict[int, dict[int, int]] = {}
         for m in self.block_keys:
-            rows.update(Subspace.from_vectors(self.block_rows(m), width).rows)
-        return Subspace(width, rows)
+            rows.update(Subspace.from_vectors(self.block_rows(m), self.width).rows)
+        return Subspace(self.width, rows)
 
     @cached_property
     def basis_indices(self) -> tuple[int, ...]:
@@ -272,11 +278,12 @@ class GradedComponent:
 
     @property
     def dim(self) -> int:
-        return len(self.trees) - self.rank
+        return self.width - self.rank
 
     @property
     def basis_trees(self) -> tuple[Tree, ...]:
-        return tuple(self.trees[i] for i in self.basis_indices)
+        trees = self.trees
+        return tuple(trees[i] for i in self.basis_indices)
 
     def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Residue of a coordinate vector modulo the relation span; supported
@@ -330,7 +337,7 @@ def _wrapped_row(
 
 
 def _identity_instance_rows(
-    n: int, w: int, table: _TreeIds, pool: list[tuple[int, int]], wanted: set[int] | None,
+    n: int, w: int, table: _TreeIds, wanted: set[int] | None,
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Direct Jacobi-identity instances of weight w on canonical trees, with
     their multidegree keys; only keys in ``wanted`` (all when None).
@@ -344,16 +351,15 @@ def _identity_instance_rows(
     all +-C(a, b, c).  A repeated tree makes the row 0, and such rows are
     dropped anyway.  For n >= 3 the instance has no such symmetry between
     ts and ss, and every pair is generated."""
-    ids, start = table.ids, table.starts[w]
+    ids, start, kids, runs = table.ids, table.starts[w], table.kids, table.runs
     keys, _ = table.multidegrees(w)
     for u in range(2, w):
-        s_total = w - u + n - 2
-        t_total = u + n - 2
         company = [
-            (ss, sum(keys[s] for s in ss)) for ss in _weighted_tuples(pool, n - 1, s_total)
+            (ss, sum(keys[s] for s in ss)) for ss in _increasing_tuples(runs, n - 1, w - u + n - 2)
         ]
-        for ts in _weighted_tuples(pool, n, t_total):
-            t_key = keys[ids[ts]]
+        # the n-tuples of weight u + n - 2 are the interned trees of weight u
+        for t in range(table.starts[u], table.starts[u + 1]):
+            ts, t_key = kids[t], keys[t]
             # ids are >= 1, so for n >= 3 no ss is skipped
             above = ts[1] if n == 2 else 0
             for ss, s_key in company:
@@ -368,8 +374,7 @@ def _identity_instance_rows(
 
 
 def _wrapped_relation_rows(
-    n: int, d: int, w: int, table: _TreeIds, pool: list[tuple[int, int]],
-    wanted: set[int] | None, max_trees: int | None,
+    n: int, d: int, w: int, table: _TreeIds, wanted: set[int] | None, max_trees: int | None,
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Relations of weight v < w placed in one slot of a bracket, with
     canonical trees of complementary weights filling the other slots; with
@@ -385,8 +390,7 @@ def _wrapped_relation_rows(
             continue
         blocks = [(_encoded(m, base), m) for m in comp.block_keys]
         offset = table.starts[v]
-        payload_total = w - v + n - 2
-        for payload in _weighted_tuples(pool, n - 1, payload_total):
+        for payload in _increasing_tuples(table.runs, n - 1, w - v + n - 2):
             p_key = sum(keys[t] for t in payload)
             for r_key, m in blocks:
                 key = r_key + p_key
@@ -405,12 +409,11 @@ def _relation_rows(
     keys (as encoded by ``_TreeIds.multidegrees``).  A candidate whose key
     is not in ``wanted`` is skipped before any tree is canonicalized; None
     keeps every row."""
-    if w < 3:
-        return
     table = _tree_ids(n, d, w, max_trees)
-    pool = table.pool(w)
-    yield from _identity_instance_rows(n, w, table, pool, wanted)
-    yield from _wrapped_relation_rows(n, d, w, table, pool, wanted, max_trees)
+    if w < 3 or table.starts[w] == table.starts[w + 1]:
+        return  # no identity instance fits below weight 3; an empty layer has no rows
+    yield from _identity_instance_rows(n, w, table, wanted)
+    yield from _wrapped_relation_rows(n, d, w, table, wanted, max_trees)
 
 
 def filippov_relations(
@@ -548,16 +551,15 @@ def graded_component(
     if cached is not None:
         return cached
     table = _tree_ids(n, d, w, max_trees)
-    width = len(table.layers[w])
-    start = table.starts[w]
+    start, end = table.starts[w], table.starts[w + 1]
     keys, base = table.multidegrees(w)
-    blocks = {_digits(key, base, d) for key in set(keys[start:start + width])}
+    blocks = {_digits(key, base, d) for key in set(keys[start:end])}
     wanted = {_encoded(_representative(m), base) for m in blocks}
     builders: dict[int, SpanBuilder] = {}
     for block, row in _relation_rows(n, d, w, max_trees, wanted):
         builder = builders.get(block)
         if builder is None:
-            builder = builders[block] = SpanBuilder(width)
+            builder = builders[block] = SpanBuilder(end - start)
         builder.insert(row)
     component = GradedComponent.build(n, d, w, table, base, builders, blocks)
     _COMPONENT_CACHE[key] = component
@@ -620,9 +622,9 @@ def free_nilpotent(
     # a bracket of weights w_1..w_n has weight sum(w_i) - n + 2, and only
     # weights <= k survive; the basis is ordered by weight, so the
     # admissible index tuples are enumerated under that budget directly
-    pool = list(enumerate(weights))
+    runs = {c.w: range(off, off + c.dim) for c, off in zip(components, offsets) if c.dim}
     admissible = sorted(
-        args for s in range(n, k + n - 1) for args in _weighted_tuples(pool, n, s)
+        args for s in range(n, k + n - 1) for args in _increasing_tuples(runs, n, s)
     )
     for args in admissible:
         total = sum(weights[i] for i in args) - n + 2
@@ -645,13 +647,10 @@ def free_nilpotent(
 
 def clear_caches() -> None:
     """Empty every module-level memo of this module: the interned-tree
-    tables (``_TREE_IDS``, which also hold what :func:`canon_trees`
-    returns), the graded components (``_COMPONENT_CACHE``) and the free
-    nilpotent quotients (``_FREE_CACHE``).  What a component builds lazily
-    (its relabelled blocks, ``relations``, ``basis_indices``,
-    ``basis_position`` and ``tree_index``) is kept on the component itself,
-    so it goes with these memos: the next call builds a fresh component
-    with none of it."""
+    tables (``_TREE_IDS``, with the nested layers they built on read), the
+    graded components (``_COMPONENT_CACHE``) and the free nilpotent
+    quotients (``_FREE_CACHE``).  What a component builds lazily is kept on
+    the component, so it goes with these memos."""
     _TREE_IDS.clear()
     _COMPONENT_CACHE.clear()
     _FREE_CACHE.clear()

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -163,6 +164,27 @@ def test_max_trees_guard(capsys):
                            "--max-trees", "10")
     assert code == 2
     assert "canonical trees" in err
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["graded", "-n", "2", "-d", "1", "-w", "5000"], 0,
+         '{"n": 2, "d": 1, "w": 5000, "canonical_trees": 0, "relation_rank": 0, "dim": 0}\n', ""),
+        (["count", "-n", "3", "-d", "2", "-w", "3000"], 0,
+         '{"formula": 0, "oracle": 0, "agree": true}\n', ""),
+        (["graded", "-n", "2", "-d", "3", "-w", "5000", "--max-trees", "1000"], 2, "",
+         "error: more than 1000 canonical trees at (n=2, d=3, w=7)\n"),
+    ],
+)
+def test_large_weight_exits_without_traceback(capsys, argv, code, out, err):
+    """The tree table grows a layer at a time in a loop, so a weight in the
+    thousands neither recurses once per weight nor walks every empty lower
+    layer for relation rows."""
+    free_algebra.clear_caches()
+    started = time.perf_counter()
+    assert run_cli(capsys, *argv) == (code, out, err)
+    assert time.perf_counter() - started < 5
 
 
 NON_FILIPPOV = {

@@ -139,11 +139,11 @@ def _binary_instances(d, w):
     filter: each pair ts of canonical trees with each single tree ss of the
     complementary weight."""
     table = free_algebra._tree_ids(2, d, w)
-    pool = table.pool(w)
+    runs = table.runs
     ids, start = table.ids, table.starts[w]
     for u in range(2, w):
-        company = list(free_algebra._weighted_tuples(pool, 1, w - u))
-        for ts in free_algebra._weighted_tuples(pool, 2, u):
+        company = free_algebra._increasing_tuples(runs, 1, w - u)
+        for ts in free_algebra._increasing_tuples(runs, 2, u):
             for ss in company:
                 yield ts, ss, free_algebra._instance_row(ts, ss, ids, start)
 
@@ -158,7 +158,7 @@ def test_one_instance_per_triple_spans_every_instance(d, w):
     rows = [row for _, _, row in _binary_instances(d, w)]
     rows += [
         row for _, row in
-        free_algebra._wrapped_relation_rows(2, d, w, table, table.pool(w), None, None)
+        free_algebra._wrapped_relation_rows(2, d, w, table, None, None)
     ]
     assert component.relations == Subspace.from_vectors(rows, len(component.trees))
 
@@ -182,7 +182,7 @@ def test_dropped_binary_instances_are_kept_rows_up_to_sign(d, w):
         kept_row = free_algebra._instance_row((a, b), (c,), ids, start)
         assert row in (kept_row, {col: -x for col, x in kept_row.items()})
     assert dropped >= 2 * len(kept) > 0
-    generated = free_algebra._identity_instance_rows(2, w, table, table.pool(w), None)
+    generated = free_algebra._identity_instance_rows(2, w, table, None)
     assert [row for _, row in generated] == [row for row in kept if row]
 
 

@@ -1,27 +1,31 @@
 """The rank oracle's interned-id route against the nested-tree route it
 replaced: the flat-int path of ``canonicalize``, the lazy relabelling map,
-and the expansion of identity instances and wrapped relation rows."""
+the expansion of identity instances and wrapped relation rows, and the
+weight-run enumerator against a brute-force one."""
 
 import gc
 import random
+import re
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 
 import pytest
 
 from nlie import free_algebra
 from nlie.free_algebra import (
+    _increasing_tuples,
     _instance_row,
     _relabelling,
     _representative,
     _tree_ids,
-    _weighted_tuples,
     _wrapped_row,
     canon_trees,
     free_nilpotent,
     graded_component,
 )
 from nlie.trees import canonicalize
+
+from test_lazy_rref import LAYERS
 
 
 def _expand_terms(terms, index_of):
@@ -58,7 +62,7 @@ def _inversion_reference(seq):
 def _nested_of(table, w):
     """id -> nested tree for every tree of weight <= w."""
     return {
-        table.starts[v] + i: t for v in range(1, w + 1) for i, t in enumerate(table.layers[v])
+        table.starts[v] + i: t for v in range(1, w + 1) for i, t in enumerate(table.layer(v))
     }
 
 
@@ -117,15 +121,15 @@ def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
     table = _tree_ids(n, d, w)
     nested = _nested_of(table, w)
     start = table.starts[w]
-    pool = table.pool(w)
+    runs = table.runs
 
     def as_trees(ids):
         return tuple(nested[i] for i in ids)
 
     nonzero = 0
     for u in range(2, w):
-        all_ts = list(_weighted_tuples(pool, n, u + n - 2))
-        all_ss = list(_weighted_tuples(pool, n - 1, w - u + n - 2))
+        all_ts = _increasing_tuples(runs, n, u + n - 2)
+        all_ss = _increasing_tuples(runs, n - 1, w - u + n - 2)
         if not all_ts or not all_ss:
             continue
         for _ in range(40):
@@ -141,7 +145,7 @@ def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
 
     for v in range(3, w):
         lower = graded_component(n, d, v)
-        payloads = list(_weighted_tuples(pool, n - 1, w - v + n - 2))
+        payloads = _increasing_tuples(runs, n - 1, w - v + n - 2)
         if not lower.relations.basis or not payloads:
             continue
         for _ in range(40):
@@ -155,6 +159,82 @@ def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
             assert got == want, (v, payload)
             nonzero += bool(want)
     assert nonzero >= 40
+
+
+def _brute_force_tuples(runs, slots, total):
+    """Every combination of ``slots`` ids of the pool (the ids of ``runs``
+    in order) whose weights sum to ``total``, in the order
+    ``combinations`` gives."""
+    pool = [i for run in runs.values() for i in run]
+    weights = [v for v, run in runs.items() for _ in run]
+    sums = map(sum, combinations(weights, slots))
+    return list(compress(combinations(pool, slots), map(total.__eq__, sums)))
+
+
+# d = 0 and larger weights with d < n, on top of the layers of test_lazy_rref
+# (which hold d < n up to weight 2)
+ENUMERATED_LAYERS = sorted(set(LAYERS) | {(2, 0, 1), (2, 0, 3), (3, 0, 4), (3, 2, 6), (4, 3, 5)})
+
+
+@pytest.mark.parametrize("n,d,w", ENUMERATED_LAYERS)
+def test_weight_run_enumerator_matches_brute_force(n, d, w):
+    """On the runs of every weight below w, the enumerator gives the
+    brute-force tuples, order included: the layer itself (n slots) and
+    every company and payload total (n - 1 slots).  It is also what the
+    table interned as layer w, even when the table holds higher runs."""
+    table = _tree_ids(n, d, w)
+    below = {v: run for v, run in table.runs.items() if v < w}
+    assert list(below) == sorted(below) and all(below.values())
+    layer = _brute_force_tuples(below, n, w + n - 2)
+    assert _increasing_tuples(below, n, w + n - 2) == layer
+    if w > 1:  # the generators are not enumerated
+        assert table.kids[table.starts[w]:table.starts[w + 1]] == layer
+    _tree_ids(n, d, w + 1)
+    assert _increasing_tuples(table.runs, n, w + n - 2) == layer
+    for total in range(n - 1, w + n - 2):
+        assert _increasing_tuples(table.runs, n - 1, total) == _brute_force_tuples(
+            below, n - 1, total
+        ), total
+
+
+@pytest.mark.parametrize("n,d,k", [(2, 2, 4), (2, 4, 3), (3, 3, 3), (3, 2, 3), (4, 5, 3)])
+def test_weight_run_enumerator_on_free_nilpotent_runs(n, d, k):
+    """The runs ``free_nilpotent`` builds from its layer offsets (ids from
+    0, empty layers left out), and a hand-made shape with a gap in the
+    weights."""
+    built = free_nilpotent(n, d, k)
+    runs = {
+        w: range(off, off + dim)
+        for w, off, dim in zip(range(1, k + 1), built.layer_offsets, built.layer_dims())
+        if dim
+    }
+    gapped = {1: range(0, 3), 3: range(3, 5), 4: range(5, 6)}
+    for shape, top in ((runs, k), (gapped, 4)):
+        for total in range(n, top + n):
+            assert _increasing_tuples(shape, n, total) == _brute_force_tuples(shape, n, total)
+
+
+@pytest.mark.parametrize("n,d,w", [(2, 4, 5), (2, 2, 9), (3, 4, 4), (4, 5, 3), (3, 3, 6)])
+def test_tree_guard_is_checked_before_enumerating(n, d, w, monkeypatch):
+    """The guard counts a layer from its weight runs: ``max_trees`` equal to
+    the layer size passes, one less raises with the same message and
+    before any tuple of the layer is built."""
+    free_algebra.clear_caches()
+    size = len(canon_trees(n, d, w))
+    free_algebra.clear_caches()
+    assert len(canon_trees(n, d, w, max_trees=size)) == size
+    free_algebra.clear_caches()
+    table = _tree_ids(n, d, w - 1)
+    kids = list(table.kids)
+
+    def unbuilt(*args):
+        raise AssertionError("a layer over the guard was enumerated")
+
+    monkeypatch.setattr(free_algebra, "_increasing_tuples", unbuilt)
+    message = f"more than {size - 1} canonical trees at (n={n}, d={d}, w={w})"
+    with pytest.raises(free_algebra.ResourceLimitError, match=re.escape(message)):
+        canon_trees(n, d, w, max_trees=size - 1)
+    assert table.top == w - 1 and table.kids == kids
 
 
 def test_clear_caches_empties_every_module_memo():
