@@ -70,7 +70,7 @@ class StructureAlgebra:
                 raise ValueError(f"bracket arguments {args} out of range")
             if any(a >= b for a, b in zip(args, args[1:])):
                 raise ValueError(f"bracket arguments {args} not strictly increasing")
-            row = {i: Fraction(c) for i, c in value.items() if c}
+            row = {i: c if type(c) is Fraction else Fraction(c) for i, c in value.items() if c}
             for i in row:
                 if not (0 <= i < dim):
                     raise ValueError(f"bracket value index {i} out of range")
@@ -367,29 +367,41 @@ def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
 
 
 def _upper_central_series(
-    alg: StructureAlgebra, tuples: list[tuple[int, ...]]
+    alg: StructureAlgebra, tuples: list[tuple[int, ...]], top: int | None = None,
+    weights: list[int] | None = None,
 ) -> list[Subspace]:
-    """The upper central series, testing centrality mod Z_j only against the
-    basis tuples in ``tuples``.  With all (n-1)-subsets of the basis this is
-    the definition; with the (n-1)-subsets of a generating set of basis
-    vectors it is the same chain, by part (iv) of the lemma in
-    :func:`_ad_images`."""
+    """The upper central series, up to Z_``top`` if given, testing
+    centrality mod Z_j only against the basis tuples in ``tuples``.  With
+    all (n-1)-subsets of the basis this is the definition; with the
+    (n-1)-subsets of a generating set of basis vectors it is the same
+    chain, by part (iv) of the lemma in :func:`_ad_images`.
+
+    For alg = E/U, E free nilpotent, the coordinates ``comp`` carry E's
+    nondecreasing ``weights``, and gamma_k(E/U), the image of gamma_k(E),
+    is spanned by those of weight >= k: U's reduced rows have entries only
+    right of their pivot, at weights no lower.  With t the top weight,
+    gamma_{t+1} = 0, so Z_k contains gamma_{t+1-k} by induction on k, as
+    [gamma_{t+1-k}, alg, ..., alg] = gamma_{t+2-k}.  Each step tests only
+    the coordinates below weight t+1-k; the rest are unit rows."""
     dim = alg.dim
     chain = [Subspace.zero(dim)]
-    while True:
+    while top is None or len(chain) <= top:
         zk = chain[-1]
         if zk.dim == dim:
             break
+        low = dim if weights is None else sum(w <= weights[-1] - len(chain) for w in weights)
         # row i holds the classes mod zk of D [e_i, x_tup] = alg._ad[tup][i]
         # for every tuple, one block of dim columns per tuple; x is central
         # mod zk iff x . rows = 0
-        rows: list[SparseVector] = [{} for _ in range(dim)]
+        rows: list[SparseVector] = [{} for _ in range(low)]
         for t, tup in enumerate(tuples):
             offset = t * dim
             for i, value in alg._ad.get(tup, {}).items():
-                for j, c in (zk.reduce(value) if zk.dim else value).items():
-                    rows[i][offset + j] = c
-        nxt = left_kernel(rows, len(tuples) * dim)
+                if i < low:
+                    for j, c in (zk.reduce(value) if zk.dim else value).items():
+                        rows[i][offset + j] = c
+        units = {i: {i: 1} for i in range(low, dim)}
+        nxt = Subspace(dim, {**left_kernel(rows, len(tuples) * dim).rows, **units})
         if nxt == zk:
             break
         chain.append(nxt)

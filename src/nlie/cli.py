@@ -225,6 +225,16 @@ def cmd_graded(args) -> int:
     return 0
 
 
+def _write_algebra(path: str, algebra) -> None:
+    """Write the algebra JSON to ``path``, which must be writable."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(to_json_dict(algebra), fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_free_nilpotent(args) -> int:
     built = free_nilpotent(args.n, args.d, args.k, args.max_trees)
     payload = {
@@ -235,9 +245,7 @@ def cmd_free_nilpotent(args) -> int:
         "layer_dims": list(built.layer_dims()),
     }
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(to_json_dict(built.algebra), fh)
-            fh.write("\n")
+        _write_algebra(args.emit, built.algebra)
         payload["emitted"] = args.emit
     _emit(payload, args.tsv)
     return 0
@@ -296,9 +304,7 @@ def cmd_heisenberg(args) -> int:
     algebra = heisenberg(args.n, args.m)
     payload = {"n": args.n, "m": args.m, "dim": algebra.dim}
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(to_json_dict(algebra), fh)
-            fh.write("\n")
+        _write_algebra(args.emit, algebra)
         payload["emitted"] = args.emit
     _emit(payload, args.tsv)
     return 0

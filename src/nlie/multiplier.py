@@ -76,6 +76,14 @@ def present(
 
     Generator lifts default to the unit vectors at the echelon complement of
     the derived subalgebra; any other complement basis may be supplied.
+
+    Only the first ``low`` basis vectors, of weight <= m, are evaluated; phi
+    is {} above.  That phi is checked on every table entry with arguments
+    below ``low``; any other entry has an image of weight >= m + 2, where
+    both sides are 0.  So phi is a homomorphism that agrees with the lifts
+    on the weight-1 basis, which generates E: it is the evaluation map.
+    Rbar is the left kernel of phi[:low] plus the unit rows from ``low`` on,
+    in the unique row form.
     """
     if c < 1:
         raise ValueError("c must be at least 1")
@@ -95,15 +103,15 @@ def present(
         if Subspace.from_vectors(residues, algebra.dim).dim != d:
             raise ValueError("lift vectors do not project onto a basis modulo the derived subalgebra")
     free = free_nilpotent(algebra.n, d, max(m + c + extra_class, 1), max_trees)
-    phi = _evaluate_basis(algebra, free.basis_trees, lifts)
-    if Subspace.from_vectors(phi, algebra.dim).dim != algebra.dim:
+    low = sum(w <= m for w in free.weights)
+    values = _evaluate_basis(algebra, free.basis_trees[:low], lifts)
+    if Subspace.from_vectors(values, algebra.dim).dim != algebra.dim:
         raise AssertionError("presentation map is not surjective")
-    _check_homomorphism(algebra, free, phi)
-    kernel = AlgebraSubspace(free.algebra, left_kernel(phi, algebra.dim))
-    for i in range(free.dim):
-        if free.weights[i] > m and not kernel.space.contains_vector({i: _F1}):
-            raise AssertionError("kernel misses a layer above the nilpotency class")
-    return Presentation(algebra, c, m, free, lifts, phi, kernel)
+    phi = values + ({},) * (free.dim - low)
+    _check_homomorphism(algebra, free, phi, low)
+    below = left_kernel(values, algebra.dim).rows
+    kernel = Subspace(free.dim, {**below, **{i: {i: 1} for i in range(low, free.dim)}})
+    return Presentation(algebra, c, m, free, lifts, phi, AlgebraSubspace(free.algebra, kernel))
 
 
 def _evaluate_basis(
@@ -124,17 +132,19 @@ def _evaluated(algebra: StructureAlgebra, values: dict, tree: Tree) -> SparseVec
 
 
 def _check_homomorphism(
-    algebra: StructureAlgebra, free: FreeNilpotentAlgebra, phi: tuple[SparseVector, ...]
+    algebra: StructureAlgebra, free: FreeNilpotentAlgebra, phi: tuple[SparseVector, ...], low: int
 ) -> None:
     """Check that evaluation intertwines the brackets on every basis tuple
-    with a nonzero bracket in E (every entry of its table).  Tuples whose
-    E-bracket is zero are not checked: there phi of the bracket is zero, and
-    the bracket of the images in L is not evaluated."""
+    below ``low`` with a nonzero bracket in E (every such table entry; see
+    :func:`present` for the rest).  Tuples whose E-bracket is zero are not
+    checked: there phi of the bracket is zero, and the bracket of the
+    images in L is not evaluated."""
     for args, image in free.algebra.table.items():
-        lhs = apply_rows(image, phi)
-        rhs = algebra.bracket(*[phi[i] for i in args])
-        if lhs != rhs:
-            raise AssertionError(f"bracket not respected on basis tuple {args}")
+        if args[-1] < low:
+            lhs = apply_rows(image, phi)
+            rhs = algebra.bracket(*[phi[i] for i in args])
+            if lhs != rhs:
+                raise AssertionError(f"bracket not respected on basis tuple {args}")
 
 
 def _generator_tuples(p: Presentation) -> list[tuple[int, ...]]:
@@ -146,18 +156,30 @@ def _generator_tuples(p: Presentation) -> list[tuple[int, ...]]:
 def gamma_ideal_chain(p: Presentation) -> list[AlgebraSubspace]:
     """The chain U_1 = Rbar, U_{j+1} = [U_j, E, ..., E], up to U_{c+1}.
 
-    Each step is one application of the maps ad(x_J) for the generator
-    tuples J to a basis of U_j: E is generated by its weight-1 basis X, and
-    every U_j is an ideal (Rbar is the kernel of a homomorphism), so the
-    span of the [u, x_J] is [U_j, E, ..., E] by the lemma in
-    :func:`nlie.algebra._ad_images`.
+    Lemma.  With m the class of L, U_j = gamma_{m+j}(E) + W_j, W_j spanned
+    by rows below weight m+j.  For j = 1, phi(gamma_{m+1}(E)) lies in
+    gamma_{m+1}(L) = 0, and W_1 is Rbar's rows with a pivot below weight
+    m+1.  Every U_j is an ideal (Rbar is a kernel) and E is generated by its
+    weight-1 basis X, so by the lemma in :func:`nlie.algebra._ad_images`
+    applied to the basis of unit vectors of gamma_{m+j}(E) and rows of W_j,
+
+        U_{j+1} = gamma_{m+j+1}(E) + span{[w, x_J] : w a row of W_j},
+
+    as [gamma_k(E), E, ..., E] = gamma_{k+1}(E).  ad(x_J) raises the weight
+    by one, so the images lie below weight m+j+1, and the unit rows from
+    there on complete U_{j+1} in the unique row form.  Nothing here uses
+    the grading of L or homogeneous lifts.
     """
     free_alg = p.free.algebra
     maps = [free_alg._ad[tup] for tup in _generator_tuples(p) if tup in free_alg._ad]
     chain = [p.kernel]
-    for _ in range(p.c):
-        images = _ad_images(free_alg, chain[-1].space.rows.values(), maps)
-        chain.append(AlgebraSubspace(free_alg, images))
+    low = sum(w <= p.nil_class for w in p.free.weights)
+    rows = [row for q, row in p.kernel.space.rows.items() if q < low]
+    for j in range(1, p.c + 1):
+        below = _ad_images(free_alg, rows, maps).rows
+        rows = below.values()
+        units = {i: {i: 1} for i, w in enumerate(p.free.weights) if w > p.nil_class + j}
+        chain.append(AlgebraSubspace(free_alg, Subspace(p.free.dim, {**below, **units})))
     return chain
 
 
@@ -230,8 +252,8 @@ def _analyze(
     quotient, comp = _quotient(p.free.algebra, bottom.space)
     if comp[: p.free.d] != tuple(range(p.free.d)):
         raise AssertionError("denominator meets the generator layer")
-    centre = _upper_central_series(quotient, _generator_tuples(p))
-    zq = centre[min(c, len(centre) - 1)]
+    weights = [p.free.weights[j] for j in comp]
+    zq = _upper_central_series(quotient, _generator_tuples(p), c, weights)[-1]
     rows = [p.phi[j] for j in comp]
     star = Subspace.from_vectors(
         [apply_rows(z_row, rows) for z_row in zq.rows.values()], algebra.dim

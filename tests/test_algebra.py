@@ -36,6 +36,23 @@ def solvable2():
     return StructureAlgebra(2, 2, table={(0, 1): {0: Fraction(1)}})
 
 
+def test_table_entries_become_fractions():
+    """Int, str and Fraction entries give equal algebras, all held as
+    Fractions; Fraction entries are kept as they are, zeros are dropped."""
+    half = Fraction(1, 2)
+    tables = [
+        {(0, 1): {2: 1, 0: 0}, (0, 2): {1: -3, 0: half}},
+        {(0, 1): {2: "1"}, (0, 2): {1: "-3", 0: "1/2"}},
+        {(0, 1): {2: Fraction(1), 0: Fraction(0)}, (0, 2): {1: Fraction(-3), 0: half}},
+    ]
+    algebras = [StructureAlgebra(2, 3, table=table) for table in tables]
+    assert algebras[0] == algebras[1] == algebras[2]
+    for alg in algebras:
+        assert alg.table == {(0, 1): {2: 1}, (0, 2): {1: -3, 0: half}}
+        assert all(type(c) is Fraction for row in alg.table.values() for c in row.values())
+    assert algebras[2].table[(0, 2)][0] is half
+
+
 def test_validate_abelian():
     assert abelian(5, 3).validate().valid
 

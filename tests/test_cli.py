@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -59,6 +60,31 @@ def test_zcstar(capsys):
     doc = json.loads(out)
     assert doc["zcstar_dim"] == 1
     assert doc["capable_c"] is False
+
+
+# sha256 of `nlie zcstar SPEC -c C` stdout, basis included, taken before the
+# upper central series of E/U stopped at Z_c and below the known part.
+ZCSTAR_SHA256 = {
+    ("heisenberg(2,2)", 1): "65733f8cebeb1f88e7f66453860a2c3fe3f6030cd2c742b83f44ec3e931b190e",
+    ("heisenberg(2,2)", 2): "54c0b538f5614c8d69f6b4442f895d9d653787119549d13ddd09648ab4812d13",
+    ("heisenberg(2,2)", 3): "b1aa160ce6135462fa48a920dd2fda176881e85c1a2b6c81a635b0bb67ec201f",
+    ("heisenberg(3,1)", 1): "e432e19d59b0e47c518d9feb8f16ce2ba8839a349c9fbf89b92080d651d89d26",
+    ("heisenberg(3,1)", 2): "953b1ea4d6dceaa1e0f70b253158aef97979de71591df8867903059ffc052d70",
+    ("heisenberg(3,1)", 3): "65c56da157e287a882d07f616fb6340cf423960ee65da2c5d66eadc797ad621f",
+    ("direct_sum(heisenberg(2,1),abelian(2))", 1): "28f59c0ba078a8e64f8c680bc75b7f8f4c6e5fe8a919ef0a9447a63fba901c5b",
+    ("direct_sum(heisenberg(2,1),abelian(2))", 2): "405f2b409a7958bda45ab8b9e283f13bec47d60d46ce0d71da9c5bd60cd9c7d7",
+    ("direct_sum(heisenberg(2,1),abelian(2))", 3): "ff86e89315db8cf2028ff5d1e8ad11ecda2429afb11e9b760151457aea5d78c3",
+    ("free_nilpotent(2,2,3)", 1): "707e8069ec2ddb0e0054f13f0638e45b4a3178d2d52d4e738299ee227d5b9a23",
+    ("free_nilpotent(2,2,3)", 2): "45488f9fc4a34fee6135ce852d8cce804ba7ae426ba12b0293ab432ac3300459",
+    ("free_nilpotent(2,2,3)", 3): "62ad38c635468a40f394b287a193515efec2cdcedc5b8352c0315ee399b58f7b",
+}
+
+
+@pytest.mark.parametrize("spec,c", sorted(ZCSTAR_SHA256))
+def test_zcstar_output_is_pinned(capsys, spec, c):
+    code, out, _ = run_cli(capsys, "zcstar", spec, "-c", str(c))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZCSTAR_SHA256[(spec, c)]
 
 
 def test_validate_constructor(capsys):
@@ -239,6 +265,19 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv) == (2, "", message), argv
+
+
+def test_unwritable_emit_path_exits_2_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    cases = [
+        (["free-nilpotent", "-n", "2", "-d", "2", "-k", "3", "--emit", str(missing)],
+         f"error: cannot write {missing}: No such file or directory\n"),
+        (["heisenberg", "-n", "2", "-m", "1", "--emit", str(tmp_path)],
+         f"error: cannot write {tmp_path}: Is a directory\n"),
+    ]
+    for argv, message in cases:
+        assert run_cli(capsys, *argv) == (2, "", message), argv
+    assert not missing.parent.exists()
 
 
 def test_failed_self_check_exits_4_with_one_line(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import gc
+import re
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from nlie.algebra import (
     NotNilpotentError,
     StructureAlgebra,
+    _ad_images,
+    _quotient,
     _upper_central_series,
     abelian,
     bracket_product,
@@ -20,10 +23,12 @@ from nlie.algebra import (
 from nlie.bounds import catalog_algebras
 from nlie import free_algebra, multiplier
 from nlie.free_algebra import free_nilpotent, graded_dimension
-from nlie.linalg import subspace_intersect
+from nlie.linalg import left_kernel, subspace_intersect
 from nlie.multiplier import (
     _check_homomorphism,
+    _evaluate_basis,
     _gamma_cap_kernel,
+    _generator_tuples,
     gamma_ideal_chain,
     heisenberg_multiplier_dim,
     is_capable,
@@ -220,22 +225,73 @@ def test_numerator_filter_matches_intersection(alg, c, lifted):
     assert _gamma_cap_kernel(p) == want
 
 
-def test_homomorphism_check_covers_every_table_entry():
+def test_homomorphism_check_covers_every_table_entry(monkeypatch):
+    """Every table entry with all arguments below weight m+1 is checked, not
+    only the first few."""
     p = present(heisenberg(2, 2), 2)
     table = p.free.algebra.table
     assert len(table) == 125
-    # a basis vector reached only by late table entries: corrupting its
-    # image breaks the bracket there and nowhere among the first entries
-    early = set()
-    for args in list(table)[:25]:
-        early.update(args)
-        early.update(table[args])
-    late = sorted(set().union(*table.values()) - early)
-    assert late
+    low = sum(w <= p.nil_class for w in p.free.weights)
+    checked = [args for args in table if args[-1] < low]
+    assert len(checked) == 45
+    evaluated = []
+    bracket = p.algebra.bracket
+    monkeypatch.setattr(p.algebra, "bracket", lambda *v: evaluated.append(v) or bracket(*v))
+    _check_homomorphism(p.algebra, p.free, p.phi, low)
+    assert evaluated == [tuple(p.phi[i] for i in args) for args in checked]
+    # adding the central z to the image of the last weight-2 basis vector
+    # changes no bracket of images, so only the entry whose bracket is that
+    # vector can fail, and it comes after 17 others
+    last = low - 1
+    (args,) = [a for a in checked if last in table[a]]
+    assert checked.index(args) == 17
     phi = list(p.phi)
-    phi[late[0]] = {**phi[late[0]], 0: phi[late[0]].get(0, 0) + Fraction(1)}
-    with pytest.raises(AssertionError, match="bracket not respected"):
-        _check_homomorphism(p.algebra, p.free, tuple(phi))
+    phi[last] = {**phi[last], 4: phi[last].get(4, 0) + Fraction(1)}
+    with pytest.raises(AssertionError, match=re.escape(f"basis tuple {args}")):
+        _check_homomorphism(p.algebra, p.free, tuple(phi), low)
+
+
+def _full_row_chain(p):
+    """The ideal chain that applies the generator maps to every row of U_j,
+    which the chain on the rows below gamma_{m+j}(E) replaced."""
+    free_alg = p.free.algebra
+    maps = [free_alg._ad[tup] for tup in _generator_tuples(p) if tup in free_alg._ad]
+    chain = [p.kernel.space]
+    for _ in range(p.c):
+        chain.append(_ad_images(free_alg, chain[-1].rows.values(), maps))
+    return chain
+
+
+def _cross_check_below_class(alg, c, lifts=None):
+    """Each phase confined below the class against the route it replaced:
+    Rbar from every basis vector's value, the full-row chain, and the whole
+    upper central series of E/U read at term c."""
+    p = present(alg, c, lifts)
+    free = p.free
+    phi = _evaluate_basis(alg, free.basis_trees, p.lifts)
+    _check_homomorphism(alg, free, phi, free.dim)
+    low = sum(w <= p.nil_class for w in free.weights)
+    assert p.phi == phi[:low] + ({},) * (free.dim - low)
+    assert p.kernel.space == left_kernel(phi, alg.dim)
+    chain = gamma_ideal_chain(p)
+    assert [u.space for u in chain] == _full_row_chain(p)
+    quotient, comp = _quotient(free.algebra, chain[-1].space)
+    tuples = _generator_tuples(p)
+    full = _upper_central_series(quotient, tuples)
+    cut = _upper_central_series(quotient, tuples, c, [free.weights[j] for j in comp])
+    assert cut == full[: c + 1]
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("alg", [alg for _, alg in CATALOG], ids=[label for label, _ in CATALOG])
+def test_below_class_routes_match_replaced_on_catalog(alg, c, seed):
+    _cross_check_below_class(alg, c, None if seed is None else random_lifts(alg, seed))
+
+
+@pytest.mark.parametrize("n,m,c", [(2, 2, 3), (3, 2, 2)])
+def test_below_class_routes_match_replaced_on_heisenbergs(n, m, c):
+    _cross_check_below_class(heisenberg(n, m), c)
 
 
 def test_free_quotients_are_capable():
@@ -268,13 +324,16 @@ def test_abelian_algebras_are_capable_for_c1_d_ge_2():
 
 
 def test_presentation_invariance_under_lifts():
-    for alg, c in ((heisenberg(2, 1), 1), (heisenberg(2, 2), 1),
-                   (direct_sum(heisenberg(2, 1), abelian(1, 2)), 1)):
-        base = multiplier_report(alg, c)
-        for seed in (1, 2, 5):
-            other = multiplier_report(alg, c, lifts=random_lifts(alg, seed))
-            assert other.multiplier_dim == base.multiplier_dim
-            assert other.zstar_dim == base.zstar_dim
+    """The numbers do not depend on the lifts, on every catalog algebra.
+    This also guards that Rbar contains gamma_{m+1}(E) under inhomogeneous
+    lifts, which the presentation below weight m relies on."""
+    for label, alg in CATALOG:
+        for c in (1, 2):
+            base = multiplier_report(alg, c)
+            for seed in (1, 2, 5):
+                other = multiplier_report(alg, c, lifts=random_lifts(alg, seed))
+                assert other.multiplier_dim == base.multiplier_dim, (label, c, seed)
+                assert other.zstar_dim == base.zstar_dim, (label, c, seed)
 
 
 def test_truncation_spot_checks():
