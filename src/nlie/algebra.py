@@ -70,7 +70,8 @@ class StructureAlgebra:
                 raise ValueError(f"bracket arguments {args} out of range")
             if any(a >= b for a, b in zip(args, args[1:])):
                 raise ValueError(f"bracket arguments {args} not strictly increasing")
-            row = {i: c if type(c) is Fraction else Fraction(c) for i, c in value.items() if c}
+            row = {i: c if type(c) is Fraction else Fraction(c) for i, c in value.items()}
+            row = {i: c for i, c in row.items() if c}
             for i in row:
                 if not (0 <= i < dim):
                     raise ValueError(f"bracket value index {i} out of range")
@@ -368,23 +369,24 @@ def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
 
 def _upper_central_series(
     alg: StructureAlgebra, tuples: list[tuple[int, ...]], top: int | None = None,
-    weights: list[int] | None = None,
+    weights: list[int] | None = None, base: Subspace | None = None,
 ) -> list[Subspace]:
-    """The upper central series, up to Z_``top`` if given, testing
-    centrality mod Z_j only against the basis tuples in ``tuples``.  With
-    all (n-1)-subsets of the basis this is the definition; with the
+    """The upper central series modulo the ideal ``base`` (default 0): its
+    k-th term is the preimage of Z_k(alg / base), and chain[0] is ``base``.
+    It goes up to the ``top``-th term if given, testing centrality modulo
+    each term only against the basis tuples in ``tuples``.  With all
+    (n-1)-subsets of the basis this is the definition; with the
     (n-1)-subsets of a generating set of basis vectors it is the same
     chain, by part (iv) of the lemma in :func:`_ad_images`.
 
-    For alg = E/U, E free nilpotent, the coordinates ``comp`` carry E's
-    nondecreasing ``weights``, and gamma_k(E/U), the image of gamma_k(E),
-    is spanned by those of weight >= k: U's reduced rows have entries only
-    right of their pivot, at weights no lower.  With t the top weight,
-    gamma_{t+1} = 0, so Z_k contains gamma_{t+1-k} by induction on k, as
-    [gamma_{t+1-k}, alg, ..., alg] = gamma_{t+2-k}.  Each step tests only
-    the coordinates below weight t+1-k; the rest are unit rows."""
+    For alg = E free nilpotent, with its nondecreasing ``weights`` and top
+    weight t, gamma_k(E) is spanned by the coordinates of weight >= k.  As
+    gamma_{t+1}(E) = 0, the k-th term contains gamma_{t+1-k}(E) by
+    induction on k, since [gamma_{t+1-k}(E), E, ..., E] = gamma_{t+2-k}(E).
+    Each step tests only the coordinates below weight t+1-k; the rest are
+    unit rows."""
     dim = alg.dim
-    chain = [Subspace.zero(dim)]
+    chain = [Subspace.zero(dim) if base is None else base]
     while top is None or len(chain) <= top:
         zk = chain[-1]
         if zk.dim == dim:

@@ -8,9 +8,10 @@ and Rbar its kernel,
 
     multiplier dim  =  dim( gamma_{c+1}(E) /\\ Rbar )  -  dim gamma_{c+1}(Rbar, E, ..., E)
 
-and the c-th star centre of L is the image under phi of the c-th centre of
-E / gamma_{c+1}(Rbar, E, ..., E); L is c-capable exactly when that image is
-zero.
+and the c-th star centre of L is phi(Z_c), with Z_c the preimage in E of
+the c-th centre of E / U, U = gamma_{c+1}(Rbar, E, ..., E).  Z_c is computed
+on E itself, as the c-th term of the upper central series modulo U; no
+quotient algebra is built.  L is c-capable exactly when phi(Z_c) is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .algebra import (
     NotNilpotentError,
     StructureAlgebra,
     _ad_images,
-    _quotient,
     _upper_central_series,
     gamma_term,
     nilpotency_class,
@@ -242,21 +242,17 @@ def _analyze(
             return cached
     p = present(algebra, c, lifts, extra_class, max_trees)
     bottom = gamma_ideal_chain(p)[-1]
-    gamma = p.free.layer_span(c + 1)
     numerator = _gamma_cap_kernel(p)
     if not numerator.contains_subspace(bottom.space):
         raise AssertionError("denominator escaped the numerator subspace")
-    # bottom is closed under every ad(x_J), hence an ideal; it lies in
-    # Rbar, in weights >= 2, so the quotient keeps the generators as its
-    # coordinates 0..d-1 and is generated by them
-    quotient, comp = _quotient(p.free.algebra, bottom.space)
-    if comp[: p.free.d] != tuple(range(p.free.d)):
-        raise AssertionError("denominator meets the generator layer")
-    weights = [p.free.weights[j] for j in comp]
-    zq = _upper_central_series(quotient, _generator_tuples(p), c, weights)[-1]
-    rows = [p.phi[j] for j in comp]
+    # bottom is closed under every ad(x_J), hence an ideal, and it lies in
+    # Rbar = ker phi, so phi maps the preimage of Z_c(E / bottom) onto the
+    # star centre
+    zc = _upper_central_series(
+        p.free.algebra, _generator_tuples(p), c, p.free.weights, bottom.space
+    )[-1]
     star = Subspace.from_vectors(
-        [apply_rows(z_row, rows) for z_row in zq.rows.values()], algebra.dim
+        [apply_rows(z_row, p.phi) for z_row in zc.rows.values()], algebra.dim
     )
     report = MultiplierReport(
         c=c,
@@ -264,7 +260,7 @@ def _analyze(
         nil_class=p.nil_class,
         free_dim=p.free.dim,
         kernel_dim=p.kernel.dim,
-        gamma_dim=gamma.dim,
+        gamma_dim=sum(w > c for w in p.free.weights),
         gamma_cap_kernel_dim=numerator.dim,
         chain_dim=bottom.dim,
         multiplier_dim=numerator.dim - bottom.space.dim,

@@ -7,6 +7,8 @@ from nlie.algebra import (
     AlgebraFormatError,
     NotNilpotentError,
     StructureAlgebra,
+    _quotient,
+    _upper_central_series,
     abelian,
     bracket_product,
     direct_sum,
@@ -23,8 +25,9 @@ from nlie.algebra import (
     upper_central_series,
     z_term,
 )
+from nlie.bounds import _ideal_choices, catalog_algebras
 from nlie.free_algebra import free_nilpotent
-from nlie.linalg import unit_vector
+from nlie.linalg import Subspace, subspace_sum, unit_vector
 
 
 def solvable3():
@@ -51,6 +54,17 @@ def test_table_entries_become_fractions():
         assert alg.table == {(0, 1): {2: 1}, (0, 2): {1: -3, 0: half}}
         assert all(type(c) is Fraction for row in alg.table.values() for c in row.values())
     assert algebras[2].table[(0, 2)][0] is half
+
+
+def test_zero_entries_are_dropped_after_conversion():
+    """A zero given as a string is a zero too: it is not stored, and the
+    algebra equals the one built from the int 0."""
+    from_str = StructureAlgebra(2, 3, table={(0, 1): {2: "0"}})
+    assert from_str.table == {}
+    assert from_str == StructureAlgebra(2, 3, table={(0, 1): {2: 0}})
+    mixed = StructureAlgebra(2, 3, table={(0, 1): {2: "0/5", 0: "2"}})
+    assert mixed.table == {(0, 1): {0: Fraction(2)}}
+    assert mixed == StructureAlgebra(2, 3, table={(0, 1): {0: 2}})
 
 
 def test_validate_abelian():
@@ -128,6 +142,26 @@ def test_upper_series_examples():
     assert chain[-1].space.contains_vector(unit_vector(3, 2))
     # the 2-dim solvable algebra has trivial centre
     assert [s.dim for s in upper_central_series(solvable2())] == [0]
+
+
+SERIES_CASES = catalog_algebras() + [("S3", solvable3()), ("S2", solvable2())]
+
+
+@pytest.mark.parametrize("alg", [alg for _, alg in SERIES_CASES],
+                         ids=[label for label, _ in SERIES_CASES])
+def test_upper_series_modulo_an_ideal_lifts_the_quotient_series(alg):
+    """With ``base`` = M, the upper series (ungraded, every tuple, no
+    truncation) is M plus the lifted upper series of L/M, term by term."""
+    for _, ideal in _ideal_choices(alg):
+        quotient, comp = _quotient(alg, ideal.space)
+        lifted = [
+            subspace_sum(ideal.space, Subspace.from_vectors(
+                [{comp[j]: x for j, x in row.items()} for row in z.space.rows.values()],
+                alg.dim,
+            ))
+            for z in upper_central_series(quotient)
+        ]
+        assert _upper_central_series(alg, list(alg._ad), base=ideal.space) == lifted
 
 
 def test_nilpotency_class():

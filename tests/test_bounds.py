@@ -128,6 +128,23 @@ def test_hypercenter_examples():
     assert rows[0].holds
 
 
+def test_hypercenter_corollary_inapplicable_on_non_nilpotent():
+    """[e1, e2] = e2 has trivial centre, so L/Z_1 is L itself, which is not
+    nilpotent: the corollary row says so instead of bounding."""
+    from nlie.algebra import StructureAlgebra
+
+    alg = StructureAlgebra(2, 2, table={(0, 1): {1: 1}})
+    rows = check_hypercenter_bound(alg, 1, "x")
+    assert [(r.name, r.variant) for r in rows] == [
+        ("hypercenter", "oracle"), ("hypercenter", "formula"), ("hypercenter-corollary", "oracle"),
+    ]
+    corollary = rows[-1]
+    assert not corollary.applicable and corollary.holds
+    assert (corollary.lhs, corollary.rhs, corollary.slack) == (None, None, None)
+    assert corollary.flags == ("quotient-not-nilpotent",)
+    assert all(r.applicable and r.holds for r in rows[:2])
+
+
 def test_dim_cap_examples():
     for d in (2, 3):
         row = [r for r in check_dim_cap_bound(abelian(d, 2), 1, "x") if r.variant == "oracle"][0]

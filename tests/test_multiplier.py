@@ -23,7 +23,7 @@ from nlie.algebra import (
 from nlie.bounds import catalog_algebras
 from nlie import free_algebra, multiplier
 from nlie.free_algebra import free_nilpotent, graded_dimension
-from nlie.linalg import left_kernel, subspace_intersect
+from nlie.linalg import Subspace, apply_rows, left_kernel, subspace_intersect, subspace_sum
 from nlie.multiplier import (
     _check_homomorphism,
     _evaluate_basis,
@@ -262,10 +262,18 @@ def _full_row_chain(p):
     return chain
 
 
+def _lifted(space, comp, base):
+    """A subspace of E/U, given on the coordinates ``comp`` of E, lifted
+    into E and summed with U = ``base``."""
+    rows = [{comp[j]: x for j, x in row.items()} for row in space.rows.values()]
+    return subspace_sum(base, Subspace.from_vectors(rows, base.ambient_dim))
+
+
 def _cross_check_below_class(alg, c, lifts=None):
     """Each phase confined below the class against the route it replaced:
-    Rbar from every basis vector's value, the full-row chain, and the whole
-    upper central series of E/U read at term c."""
+    Rbar from every basis vector's value, the full-row chain, and the star
+    centre from the quotient algebra E/U, whose whole upper central series,
+    lifted into E and summed with U, is read at term c."""
     p = present(alg, c, lifts)
     free = p.free
     phi = _evaluate_basis(alg, free.basis_trees, p.lifts)
@@ -275,11 +283,18 @@ def _cross_check_below_class(alg, c, lifts=None):
     assert p.kernel.space == left_kernel(phi, alg.dim)
     chain = gamma_ideal_chain(p)
     assert [u.space for u in chain] == _full_row_chain(p)
-    quotient, comp = _quotient(free.algebra, chain[-1].space)
+    bottom = chain[-1].space
+    quotient, comp = _quotient(free.algebra, bottom)
     tuples = _generator_tuples(p)
-    full = _upper_central_series(quotient, tuples)
-    cut = _upper_central_series(quotient, tuples, c, [free.weights[j] for j in comp])
+    lifted = [_lifted(z, comp, bottom) for z in _upper_central_series(quotient, tuples)]
+    full = _upper_central_series(free.algebra, tuples, base=bottom)
+    assert full == lifted
+    cut = _upper_central_series(free.algebra, tuples, c, free.weights, bottom)
     assert cut == full[: c + 1]
+    zc = lifted[min(c, len(lifted) - 1)]
+    assert cut[-1] == zc
+    star = Subspace.from_vectors([apply_rows(row, phi) for row in zc.rows.values()], alg.dim)
+    assert multiplier._analyze(alg, c, lifts)[1] == star
 
 
 @pytest.mark.parametrize("seed", [None, 3, 11])
@@ -292,6 +307,22 @@ def test_below_class_routes_match_replaced_on_catalog(alg, c, seed):
 @pytest.mark.parametrize("n,m,c", [(2, 2, 3), (3, 2, 2)])
 def test_below_class_routes_match_replaced_on_heisenbergs(n, m, c):
     _cross_check_below_class(heisenberg(n, m), c)
+
+
+@pytest.mark.parametrize("alg,c,zstar", [(heisenberg(2, 1), 1, 0), (heisenberg(2, 2), 1, 1)])
+def test_multiplier_report_builds_no_quotient_algebra(alg, c, zstar, monkeypatch):
+    """The star centre is computed on E modulo U, so a fresh report (the
+    wider-cover check included, on H(2,1)) never builds E/U."""
+    from nlie import algebra as algebra_module
+
+    calls = []
+    original = algebra_module._quotient
+    monkeypatch.setattr(algebra_module, "_quotient", lambda *a: calls.append(a) or original(*a))
+    multiplier.clear_cache()
+    fresh = StructureAlgebra(alg.n, alg.dim, alg.basis_names, alg.table)
+    assert multiplier_report(fresh, c).zstar_dim == zstar
+    assert calls == []
+    assert not hasattr(multiplier, "_quotient")
 
 
 def test_free_quotients_are_capable():
