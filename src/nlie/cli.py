@@ -199,6 +199,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.d_max < 1 or args.w_max < 1:
+        raise InputError("--d-max and --w-max must be at least 1")
     rows = compare_table(
         args.n,
         range(1, args.d_max + 1),

@@ -4,15 +4,17 @@ The free algebra on d ordered generators is graded by weight (a weight-w
 element has (w-1)(n-1)+1 generator leaves).  Each weight layer is computed
 as the span of canonical bracket trees modulo the span of all generalized
 Jacobi relations of that weight: direct identity instances on canonical
-trees, plus every lower-weight relation wrapped inside one bracket slot with
-canonical-tree company (which saturates the homogeneous relation ideal).
-The relations never change the multiset of generator leaves, so a layer is
+trees, plus the relations of the weight just below wrapped inside one
+bracket slot with generators in the others (which saturates the
+homogeneous relation ideal; see :func:`_wrapped_relation_rows`).  The
+relations never change the multiset of generator leaves, so a layer is
 eliminated one multidegree block at a time, and only one block per orbit of
 the generator permutations is generated (see :func:`graded_component`).
 The layer dimension computed this way is the rank oracle used everywhere
 else as ground truth for graded dimensions; it is read off the orbit
-representatives, and a layer's reduced echelon basis is built only when
-something reads it (see :class:`GradedComponent`).
+representatives, the partitions of the leaf count, and a layer's reduced
+echelon basis is built only when something reads it (see
+:class:`GradedComponent`).
 
 Inside the module every canonical tree is an int id.  Per (n, d), one
 :class:`_TreeIds` table, grown weight by weight, numbers the canonical
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, combinations_with_replacement, groupby, product, repeat
-from math import comb, prod
-from typing import Callable, Iterable, Iterator
+from math import comb, factorial, prod
+from typing import Callable, Collection, Iterable, Iterator
 
 from .algebra import StructureAlgebra
 from .linalg import SpanBuilder, Subspace
@@ -49,16 +51,16 @@ class ResourceLimitError(RuntimeError):
     """A tree-enumeration guard was exceeded."""
 
 
+def _leaves(n: int, w: int) -> int:
+    """The number of generator leaves of a weight-w tree."""
+    return (w - 1) * (n - 1) + 1
+
+
 def _key_base(n: int, w: int) -> int:
     """Digit base of the multidegree keys up to weight w: one more than the
     number of leaves of a weight-w tree, so no digit of a tree of weight
     <= w overflows."""
-    return (w - 1) * (n - 1) + 2
-
-
-def _digits(key: int, base: int, d: int) -> tuple[int, ...]:
-    """The multidegree (m_1, ..., m_d) that ``key`` encodes in ``base``."""
-    return tuple(key // base**i % base for i in range(d))
+    return _leaves(n, w) + 1
 
 
 def _encoded(m: tuple[int, ...], base: int) -> int:
@@ -79,8 +81,10 @@ class _TreeIds:
     * ``runs`` maps each weight that has trees to its id range, ascending;
     * ``layer(w)`` gives the weight-w trees as nested tuples, built on first
       read (with every layer below) and kept;
-    * ``multidegrees(w)`` gives the leaf multidegree of every tree as an
-      array indexed by id.
+    * ``multidegrees(w)`` gives the leaf multidegree keys of the trees of
+      weight below w, encoded a layer at a time as a caller first reads
+      them, so a layer nobody wraps or brackets below the top is never
+      keyed.
 
     A canonical tree of weight w is a strictly increasing tuple of n
     canonical trees of weights summing to w + n - 2, and the tree order
@@ -135,15 +139,22 @@ class _TreeIds:
     def multidegrees(self, w: int) -> tuple[list[int], int]:
         """``(keys, base)`` for a table grown to weight w or more: keys[i] is
         the leaf multidegree (m_1, ..., m_d) of tree i encoded as the int
-        sum_g m_g * base**(g-1), in a base where no digit of a tree of
-        weight <= w overflows.  A bracket's key is the sum of its kids'.
-        Encoded again, for every tree, only when w needs a larger base."""
+        sum_g m_g * base**(g-1), for every tree of weight below w (the
+        keys of weight w and above are not read, and not made).  A
+        bracket's key is the sum of its kids'.  The base is fixed at the
+        first read so that no multidegree up to the table's top weight
+        then overflows; a layer is keyed once in that base, and everything
+        is keyed again only if a table grown later is read past it.  A
+        cold :func:`graded_component` and :func:`free_nilpotent` grow the
+        table to their top weight first, so they never key a tree twice."""
         if _key_base(self.n, w) > self._base:
-            base = _key_base(self.n, self.top)
-            keys = [0] + [base**g for g in range(self.d)]
-            keys.extend(sum(keys[c] for c in kids) for kids in self.kids[self.d + 1:])
-            self._keys, self._base = keys, base
-        return self._keys, self._base
+            base = self._base = _key_base(self.n, self.top)
+            self._keys = [0] + [base**g for g in range(self.d)]
+        keys = self._keys
+        # kids have lower ids than their bracket, so each key appended here
+        # reads only keys appended before it
+        keys.extend(sum(map(keys.__getitem__, kids)) for kids in self.kids[len(keys):self.starts[w]])
+        return keys, self._base
 
 
 def _tree_ids(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES) -> _TreeIds:
@@ -193,13 +204,16 @@ class GradedComponent:
     """One weight layer of the free n-Lie algebra on d generators.
 
     The relation span R_w is kept as integer rows per multidegree block,
-    keyed by the multidegree (m_1, ..., m_d) and listed in ``block_keys``
-    (the blocks with relations): the builder's semi-echelon rows for each
-    orbit representative, and for every other block the representative's
-    rows relabelled (:func:`_orbit_move`) when :meth:`block_rows` first
-    asks for them, then kept here.  Each block's rows are a basis of its
-    part of R_w, so ``rank`` is known at once (``width`` comes from the
-    table's ``starts``).  R_w as a :class:`Subspace` (``relations``), the
+    keyed by the multidegree (m_1, ..., m_d): the builder's semi-echelon
+    rows for each orbit representative (a partition of the leaf count,
+    padded with zeros) that has relations, and for every other block the
+    representative's rows relabelled (:func:`_orbit_move`) when
+    :meth:`block_rows` first asks for them, then kept here.  Each block's
+    rows are a basis of its part of R_w, so ``rank`` is the sum over the
+    representatives of their rank times their number of rearrangements
+    (``width`` comes from the table's ``starts``).  The blocks with
+    relations (``block_keys``: the distinct rearrangements of those
+    representatives), R_w as a :class:`Subspace` (``relations``), the
     layer basis (``basis_indices``, ``basis_position``), the tree index and
     the nested ``trees`` (kept on the table) are built on first read;
     dimension-only callers build none of them.
@@ -207,27 +221,21 @@ class GradedComponent:
 
     def __init__(
         self, n: int, d: int, w: int, table: "_TreeIds",
-        blocks: dict[tuple[int, ...], list[dict[int, int]]],
-        block_keys: Iterable[tuple[int, ...]],
+        reps: dict[tuple[int, ...], list[dict[int, int]]],
     ):
         self.n, self.d, self.w = n, d, w
         self.width = table.starts[w + 1] - table.starts[w]
-        self.block_keys = tuple(sorted(block_keys))
-        self.rank = sum(len(blocks[_representative(m)]) for m in self.block_keys)
+        self.rank = sum(len(rows) * _orbit_size(r) for r, rows in reps.items())
         self._table = table
-        self._blocks = blocks
+        self._blocks = reps
 
     @staticmethod
     def build(
-        n: int, d: int, w: int, table: "_TreeIds", base: int,
-        builders: dict[int, SpanBuilder], block_keys: Iterable[tuple[int, ...]],
+        n: int, d: int, w: int, table: "_TreeIds", builders: dict[tuple[int, ...], SpanBuilder],
     ) -> "GradedComponent":
-        """The component of a layer with the multidegree blocks
-        ``block_keys`` from the representatives' ``builders`` (keyed by
-        block key in ``base``)."""
-        reps = {_digits(k, base, d): [*b.rows.values()] for k, b in builders.items()}
-        kept = [m for m in block_keys if _representative(m) in reps]
-        return GradedComponent(n, d, w, table, reps, kept)
+        """The component of a layer from the builders of its orbit
+        representatives (keyed by multidegree)."""
+        return GradedComponent(n, d, w, table, {r: [*b.rows.values()] for r, b in builders.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedComponent):
@@ -243,15 +251,25 @@ class GradedComponent:
     def trees(self) -> tuple[Tree, ...]:
         return self._table.layer(self.w)
 
+    @cached_property
+    def block_keys(self) -> tuple[tuple[int, ...], ...]:
+        """The multidegrees of the blocks with relations, ascending."""
+        reps = [r for r in self._blocks if r == _representative(r)]
+        return tuple(sorted(m for r in reps for m in _rearrangements(r)))
+
     def block_rows(self, m: tuple[int, ...]) -> list[dict[int, int]]:
         """Integer rows forming a basis of the multidegree-m part of R_w
-        (columns = layer positions); not copies."""
+        (columns = layer positions); not copies.  Empty for a block with
+        no relations."""
         rows = self._blocks.get(m)
         if rows is None:
             rep, perm = _orbit_move(m)
+            rows = self._blocks.get(rep)
+            if rows is None:
+                return []
             table = self._table
             rows = self._blocks[m] = _transported(
-                self._blocks[rep], _relabelling(table, perm), table.starts[self.w]
+                rows, _relabelling(table, perm), table.starts[self.w]
             )
         return rows
 
@@ -328,19 +346,23 @@ def _instance_row(
 def _wrapped_row(
     relation: dict[int, int], offset: int, payload: tuple[int, ...], ids: dict, start: int
 ) -> dict[int, int]:
-    """A lower relation row (columns = ids - ``offset``) in the first slot of
-    a bracket with the canonical id tuple ``payload`` in the others."""
-    row: dict[int, int] = {}
-    for col, val in relation.items():
-        _add_bracket(row, val, (offset + col,) + payload, ids, start)
-    return row
+    """A relation row of the layer below (columns = ids - ``offset``) in the
+    first slot of a bracket with the increasing generator tuple ``payload``
+    in the others.  Generators come first in the tree order, so the bracket
+    of a tree t of that layer is the canonical tree (payload..., t), with
+    the sign of moving t past the n - 1 generators: nothing is
+    canonicalized and no two terms meet."""
+    sign = -1 if len(payload) % 2 else 1
+    return {ids[payload + (offset + col,)] - start: sign * x for col, x in relation.items()}
 
 
 def _identity_instance_rows(
-    n: int, w: int, table: _TreeIds, wanted: set[int] | None,
-) -> Iterator[tuple[int, dict[int, int]]]:
+    n: int, w: int, table: _TreeIds, keys: list[int], wanted: dict[int, tuple[int, ...]],
+) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     """Direct Jacobi-identity instances of weight w on canonical trees, with
-    their multidegree keys; only keys in ``wanted`` (all when None).
+    their multidegrees; only those whose multidegree key (in ``keys``, the
+    table's keys of the trees below weight w) is in ``wanted``, which maps
+    it to the multidegree.
 
     For n = 2 only one instance per set of three trees is generated: the
     one with ts = (a, b) and ss = (c,) for a < b < c.  The row of
@@ -352,7 +374,6 @@ def _identity_instance_rows(
     dropped anyway.  For n >= 3 the instance has no such symmetry between
     ts and ss, and every pair is generated."""
     ids, start, kids, runs = table.ids, table.starts[w], table.kids, table.runs
-    keys, _ = table.multidegrees(w)
     for u in range(2, w):
         company = [
             (ss, sum(keys[s] for s in ss)) for ss in _increasing_tuples(runs, n - 1, w - u + n - 2)
@@ -365,55 +386,73 @@ def _identity_instance_rows(
             for ss, s_key in company:
                 if ss[0] <= above:
                     continue
-                key = t_key + s_key
-                if wanted is not None and key not in wanted:
+                m = wanted.get(t_key + s_key)
+                if m is None:
                     continue
                 row = _instance_row(ts, ss, ids, start)
                 if row:
-                    yield key, row
+                    yield m, row
 
 
 def _wrapped_relation_rows(
-    n: int, d: int, w: int, table: _TreeIds, wanted: set[int] | None, max_trees: int | None,
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """Relations of weight v < w placed in one slot of a bracket, with
-    canonical trees of complementary weights filling the other slots; with
-    their multidegree keys, only keys in ``wanted`` (all when None).  The
-    lower relations are the integer block rows of each lower component
-    (a basis of R_v, see :func:`graded_component`); a block is skipped, and
-    never relabelled, unless some payload takes it to a wanted key."""
-    ids, start = table.ids, table.starts[w]
-    keys, base = table.multidegrees(w)
-    for v in range(3, w):
-        comp = graded_component(n, d, v, max_trees)
-        if not comp.block_keys:
-            continue
-        blocks = [(_encoded(m, base), m) for m in comp.block_keys]
-        offset = table.starts[v]
-        for payload in _increasing_tuples(table.runs, n - 1, w - v + n - 2):
-            p_key = sum(keys[t] for t in payload)
-            for r_key, m in blocks:
-                key = r_key + p_key
-                if wanted is not None and key not in wanted:
-                    continue
-                for relation in comp.block_rows(m):
-                    row = _wrapped_row(relation, offset, payload, ids, start)
-                    if row:
-                        yield key, row
+    n: int, d: int, w: int, table: _TreeIds, targets: Iterable[tuple[int, ...]],
+    max_trees: int | None,
+) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """The block rows of R_{w-1} (a basis of it, see
+    :func:`graded_component`) placed in one slot of a bracket with an
+    increasing tuple of n - 1 generators in the others, for the target
+    multidegrees ``targets`` only: the block m - p of R_{w-1} with the
+    payload p.  A block is relabelled only when some target asks for it.
+
+    Lemma.  Together with the identity instances of weight w, these rows
+    span every wrap [r, p_1, ..., p_{n-1}] with r in R_v, v < w, and
+    canonical trees p_i of complementary weights, so they span R_w.
+
+    Proof, by induction on w - v.  For v = w - 1 the payloads have total
+    weight n - 1, so they are generators: a combination of the generated
+    rows (wrapping is linear in r, and a repeated generator gives 0).
+    Take a wrap [r, p_1, ..., p_{n-1}], r in R_v, with v < w - 1; by
+    weight, some payload is a bracket p = [z_1, ..., z_n].  Wrapping is
+    linear in r, so let r = sum_tau c_tau tau over trees tau of weight v,
+    and let q be the other payloads.  The generated instance
+    J((z_1, ..., z_n), (tau, q)), summed with the c_tau, reads
+    [p, r, q] = sum_i [z_1, ..., [z_i, r, q], ..., z_n], which rewrites
+    the wrap as +- sum_i [z_1, ..., [z_i, r, q], ..., z_n].  Each inner
+    bracket [z_i, r, q] is a wrap of r with lighter payloads, of weight
+    v' with v < v' < w, so it lies in R_{v'} (R is an ideal, and by
+    induction on the weight the rows computed for R_{v'} span all of it).
+    The outer bracket then wraps that element of R_{v'} with the payloads
+    z_j, so it is a wrap at weight w with w - v' < w - v, and lies in the
+    span by induction.  For n = 2 the generated instance on the three
+    trees {z_1, z_2, tau} is +- that instance, because the Jacobi row is
+    alternating (see :func:`_identity_instance_rows`)."""
+    lower = graded_component(n, d, w - 1, max_trees)
+    ids, start, offset = table.ids, table.starts[w], table.starts[w - 1]
+    payloads = list(combinations(range(1, d + 1), n - 1))
+    for m in targets:
+        for payload in payloads:
+            below = list(m)
+            for g in payload:
+                below[g - 1] -= 1
+            if min(below) < 0:
+                continue
+            for relation in lower.block_rows(tuple(below)):
+                yield m, _wrapped_row(relation, offset, payload, ids, start)
 
 
 def _relation_rows(
-    n: int, d: int, w: int, max_trees: int | None, wanted: set[int] | None = None
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """Generated integer relation rows of weight w with their multidegree
-    keys (as encoded by ``_TreeIds.multidegrees``).  A candidate whose key
-    is not in ``wanted`` is skipped before any tree is canonicalized; None
-    keeps every row."""
+    n: int, d: int, w: int, targets: Collection[tuple[int, ...]], max_trees: int | None,
+) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """Generated integer relation rows of weight w with their multidegrees,
+    for the target multidegrees ``targets`` only: an instance whose key is
+    not a target's is skipped before any tree is canonicalized."""
     table = _tree_ids(n, d, w, max_trees)
     if w < 3 or table.starts[w] == table.starts[w + 1]:
         return  # no identity instance fits below weight 3; an empty layer has no rows
-    yield from _identity_instance_rows(n, w, table, wanted)
-    yield from _wrapped_relation_rows(n, d, w, table, wanted, max_trees)
+    keys, base = table.multidegrees(w)
+    wanted = {_encoded(m, base): m for m in targets}
+    yield from _identity_instance_rows(n, w, table, keys, wanted)
+    yield from _wrapped_relation_rows(n, d, w, table, targets, max_trees)
 
 
 def filippov_relations(
@@ -422,9 +461,11 @@ def filippov_relations(
     """Every generated relation row of weight w, as sparse integer coordinate
     vectors over ``canon_trees(n, d, w)``: the identity instances (for
     n = 2 one per set of three trees, see :func:`_identity_instance_rows`)
-    and the wrapped lower relations.  Empty for w <= 2 (no identity
-    instance fits below weight 3)."""
-    return [row for _, row in _relation_rows(n, d, w, max_trees)]
+    and the wrapped relations of weight w - 1 (see
+    :func:`_wrapped_relation_rows`), in every multidegree.  Empty for
+    w <= 2 (no identity instance fits below weight 3)."""
+    every = [m for r in _partitions(_leaves(n, w), d) for m in _rearrangements(r)]
+    return [row for _, row in _relation_rows(n, d, w, every, max_trees)]
 
 
 def _relabelling(table: _TreeIds, perm: tuple[int, ...]) -> Callable[[int], tuple[int, int]]:
@@ -485,6 +526,36 @@ def _orbit_move(m: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(map(m.__getitem__, order)), (0, *(j + 1 for j in order))
 
 
+def _partitions(total: int, parts: int, top: int | None = None) -> list[tuple[int, ...]]:
+    """The nonincreasing ``parts``-tuples of nonnegative ints (none above
+    ``top``) summing to ``total``: the partitions of ``total`` into at
+    most ``parts`` parts, padded with zeros, in descending order."""
+    if parts == 0:
+        return [] if total else [()]
+    top = total if top is None else min(top, total)
+    least = -(-total // parts)  # the first part is at least the mean
+    return [
+        (x,) + rest for x in range(top, least - 1, -1) for rest in _partitions(total - x, parts - 1, x)
+    ]
+
+
+def _rearrangements(r: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct rearrangements of the tuple r."""
+    if not r:
+        return [()]
+    out = []
+    for x in dict.fromkeys(r):
+        rest = list(r)
+        rest.remove(x)
+        out.extend((x,) + tail for tail in _rearrangements(tuple(rest)))
+    return out
+
+
+def _orbit_size(r: tuple[int, ...]) -> int:
+    """The number of distinct rearrangements of the nonincreasing tuple r."""
+    return factorial(len(r)) // prod(factorial(len(list(g))) for _, g in groupby(r))
+
+
 def graded_component(
     n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES
 ) -> GradedComponent:
@@ -533,35 +604,39 @@ def graded_component(
     rank R_w(r) times the size of the S_d orbit of r.
 
     So rows are generated only for the nonincreasing multidegrees, one
-    per S_d orbit, and each is eliminated in its own builder; its
-    semi-echelon integer rows are a basis of that block.  Every other block
-    of the orbit holds the representative's rows relabelled, with no
-    re-reduction (:class:`GradedComponent` does that relabelling on first
-    use).  The next weight wraps these block rows as they are: wrapping is
-    linear in the lower row, so any basis of R_v generates the same R_w.
-    Only the :class:`Subspace` form of R_w needs one more elimination of
-    each block's rows, which back-substitutes them.  The blocks have
-    disjoint columns, so the union of their subspace rows is the subspace
-    form of R_w: the same unique rows one elimination of all generated rows
-    gives (``filippov_relations`` is that route's generator, kept as a test
-    oracle).
+    per S_d orbit: the partitions of the leaf count (w-1)(n-1)+1 into at
+    most d parts, padded with zeros, as the targets of
+    :func:`_relation_rows`, and each is eliminated in its own builder; its
+    semi-echelon integer rows are a basis of that block.  The blocks with
+    relations are the distinct rearrangements of the representatives
+    whose builder got rows, so no key of a weight-w tree is read: the
+    instances read the keys of their arguments, of weight w - 1 and
+    below, and the wraps read none.  Every
+    other block of the orbit holds the representative's rows relabelled,
+    with no re-reduction (:class:`GradedComponent` does that relabelling
+    on first use).  The next weight wraps these block rows as they are:
+    wrapping is linear in the lower row, so any basis of R_{w-1} generates
+    the same R_w (see :func:`_wrapped_relation_rows` for why R_{w-1} with
+    generator payloads is enough).  Only the :class:`Subspace` form of R_w
+    needs one more elimination of each block's rows, which back-substitutes
+    them.  The blocks have disjoint columns, so the union of their
+    subspace rows is the subspace form of R_w: the same unique rows one
+    elimination of all generated rows gives (``filippov_relations`` is
+    that route's generator, kept as a test oracle).
     """
     key = (n, d, w)
     cached = _COMPONENT_CACHE.get(key)
     if cached is not None:
         return cached
     table = _tree_ids(n, d, w, max_trees)
-    start, end = table.starts[w], table.starts[w + 1]
-    keys, base = table.multidegrees(w)
-    blocks = {_digits(key, base, d) for key in set(keys[start:end])}
-    wanted = {_encoded(_representative(m), base) for m in blocks}
-    builders: dict[int, SpanBuilder] = {}
-    for block, row in _relation_rows(n, d, w, max_trees, wanted):
-        builder = builders.get(block)
+    builders: dict[tuple[int, ...], SpanBuilder] = {}
+    width = table.starts[w + 1] - table.starts[w]
+    for m, row in _relation_rows(n, d, w, _partitions(_leaves(n, w), d), max_trees):
+        builder = builders.get(m)
         if builder is None:
-            builder = builders[block] = SpanBuilder(end - start)
+            builder = builders[m] = SpanBuilder(width)
         builder.insert(row)
-    component = GradedComponent.build(n, d, w, table, base, builders, blocks)
+    component = GradedComponent.build(n, d, w, table, builders)
     _COMPONENT_CACHE[key] = component
     return component
 
@@ -607,6 +682,8 @@ def free_nilpotent(
     cached = _FREE_CACHE.get(key)
     if cached is not None:
         return cached
+    # the table grown to k first keys every layer once, in one digit base
+    ids = _tree_ids(n, d, k, max_trees)
     components = tuple(graded_component(n, d, w, max_trees) for w in range(1, k + 1))
     basis_trees: list[Tree] = []
     weights: list[int] = []
@@ -616,7 +693,6 @@ def free_nilpotent(
         basis_trees.extend(comp.basis_trees)
         weights.extend([comp.w] * comp.dim)
     dim = len(basis_trees)
-    ids = _tree_ids(n, d, k, max_trees)
     basis_ids = [ids.starts[comp.w] + i for comp in components for i in comp.basis_indices]
     table: dict[tuple[int, ...], dict[int, Fraction]] = {}
     # a bracket of weights w_1..w_n has weight sum(w_i) - n + 2, and only

@@ -253,6 +253,12 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
         (["bounds", "--c-max", "6"], "error: c_max must be between 1 and 5\n"),
         (["table", "-n", "2", "--d-max", "21", "--w-max", "20"],
          "error: comparison grid has 420 cells, limit is 400\n"),
+        (["table", "-n", "2", "--d-max", "0", "--w-max", "3"],
+         "error: --d-max and --w-max must be at least 1\n"),
+        (["table", "-n", "2", "--d-max", "-1", "--w-max", "3"],
+         "error: --d-max and --w-max must be at least 1\n"),
+        (["table", "-n", "2", "--d-max", "3", "--w-max", "0"],
+         "error: --d-max and --w-max must be at least 1\n"),
         (["graded", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "0"],
          "error: --max-trees must be at least 1\n"),
         (["count", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "-1"],

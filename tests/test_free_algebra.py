@@ -22,6 +22,7 @@ from nlie.linalg import Subspace
 from nlie.trees import canonicalize, weight
 
 from layer_record import layer_sha256
+from test_keys_once import all_weight_wraps, instance_rows
 
 
 def witt(d, w):
@@ -154,12 +155,8 @@ def test_one_instance_per_triple_spans_every_instance(d, w):
     instances and all wrapped lower relations, as generated before the
     one-per-triple filter."""
     component = graded_component(2, d, w)
-    table = free_algebra._tree_ids(2, d, w)
     rows = [row for _, _, row in _binary_instances(d, w)]
-    rows += [
-        row for _, row in
-        free_algebra._wrapped_relation_rows(2, d, w, table, None, None)
-    ]
+    rows += list(all_weight_wraps(2, d, w))
     assert component.relations == Subspace.from_vectors(rows, len(component.trees))
 
 
@@ -182,8 +179,7 @@ def test_dropped_binary_instances_are_kept_rows_up_to_sign(d, w):
         kept_row = free_algebra._instance_row((a, b), (c,), ids, start)
         assert row in (kept_row, {col: -x for col, x in kept_row.items()})
     assert dropped >= 2 * len(kept) > 0
-    generated = free_algebra._identity_instance_rows(2, w, table, None)
-    assert [row for _, row in generated] == [row for row in kept if row]
+    assert instance_rows(2, d, w) == [row for row in kept if row]
 
 
 # layer_sha256(graded_component(n, d, w)) (see layer_record.py), taken

@@ -25,6 +25,7 @@ from nlie.free_algebra import (
 )
 from nlie.trees import canonicalize
 
+from test_keys_once import general_wrapped_row
 from test_lazy_rref import LAYERS
 
 
@@ -143,6 +144,8 @@ def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
             assert _instance_row(ts, ss, table.ids, start) == want, (ts, ss)
             nonzero += bool(want)
 
+    # every lower relation with every payload (the reference route of the
+    # wrap lemma), and the layer below with generator payloads (the oracle's)
     for v in range(3, w):
         lower = graded_component(n, d, v)
         payloads = _increasing_tuples(runs, n - 1, w - v + n - 2)
@@ -155,8 +158,10 @@ def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
                 (x, (lower.trees[col],) + as_trees(payload)) for col, x in relation.items()
             ]
             want = _expand_terms(terms, component.tree_index)
-            got = _wrapped_row(relation, table.starts[v], payload, table.ids, start)
+            got = general_wrapped_row(relation, table.starts[v], payload, table.ids, start)
             assert got == want, (v, payload)
+            if v == w - 1:
+                assert _wrapped_row(relation, table.starts[v], payload, table.ids, start) == want
             nonzero += bool(want)
     assert nonzero >= 40
 
