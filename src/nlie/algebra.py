@@ -23,8 +23,8 @@ from .linalg import (
     Subspace,
     _axpy,
     _entries,
+    annihilator,
     apply_rows,
-    left_kernel,
 )
 from .trees import canonicalize
 
@@ -190,9 +190,8 @@ class StructureAlgebra:
         because a*ad(e_J) sends every vector to a multiple of its image under
         ad(e_J).  The lower series and the ideal chain take spans of the
         images (:func:`_ad_images`); :func:`is_ideal` tests membership of the
-        images; and :func:`_upper_central_series` takes the left kernel of a
-        matrix whose columns are all scaled by D, which has the same left
-        kernel."""
+        images; and :func:`_central_annihilators` takes spans of the images
+        of forms under the transposed maps, which are scaled by D as well."""
         den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
         ad: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
         for args, row in self.table.items():
@@ -334,7 +333,8 @@ def _ad_images(alg: StructureAlgebra, rows: Iterable[dict], maps: Collection[dic
     builder = SpanBuilder(alg.dim)
     for vec in rows:
         for ad in maps:
-            builder.insert(apply_rows(vec, ad))
+            if image := apply_rows(vec, ad):
+                builder.insert(image)
     return builder.subspace()
 
 
@@ -367,47 +367,44 @@ def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
     return [AlgebraSubspace(alg, space) for space in alg._upper_series]
 
 
-def _upper_central_series(
+def _central_annihilators(
     alg: StructureAlgebra, tuples: list[tuple[int, ...]], top: int | None = None,
-    weights: list[int] | None = None, base: Subspace | None = None,
+    base: Subspace | None = None,
 ) -> list[Subspace]:
-    """The upper central series modulo the ideal ``base`` (default 0): its
-    k-th term is the preimage of Z_k(alg / base), and chain[0] is ``base``.
-    It goes up to the ``top``-th term if given, testing centrality modulo
-    each term only against the basis tuples in ``tuples``.  With all
-    (n-1)-subsets of the basis this is the definition; with the
-    (n-1)-subsets of a generating set of basis vectors it is the same
-    chain, by part (iv) of the lemma in :func:`_ad_images`.
+    """The annihilators A_k of the upper central series modulo the ideal
+    ``base`` (default 0), whose k-th term Z_k is the preimage of
+    Z_k(alg / base): A_0 = ann(base), and A_{k+1} is :func:`_ad_images` of
+    A_k under the transposed maps of ``tuples``.  The chain goes up to the
+    ``top``-th term if given, or until A_k is 0 or stable.
 
-    For alg = E free nilpotent, with its nondecreasing ``weights`` and top
-    weight t, gamma_k(E) is spanned by the coordinates of weight >= k.  As
-    gamma_{t+1}(E) = 0, the k-th term contains gamma_{t+1-k}(E) by
-    induction on k, since [gamma_{t+1-k}(E), E, ..., E] = gamma_{t+2-k}(E).
-    Each step tests only the coordinates below weight t+1-k; the rest are
-    unit rows."""
+    Lemma.  Z_{k+1} = {x : [x, e_J] in Z_k for every J}.  For a linear map
+    T, ann(T^-1 W) = T*(ann W), and the annihilator of an intersection is
+    the sum of the annihilators, so ann Z_{k+1} = sum_J {f o ad(e_J) : f in
+    ann Z_k}.  With all (n-1)-subsets of the basis this is the definition;
+    with the (n-1)-subsets of a generating set of basis vectors it is the
+    same chain, by part (iv) of the lemma in :func:`_ad_images`.  Scaling
+    the maps by D > 0 (``StructureAlgebra._ad``) changes no span.  On a
+    graded algebra of top weight t, ad(x_J) raises the weight by one, so
+    A_k vanishes from weight t+1-k on by itself."""
     dim = alg.dim
-    chain = [Subspace.zero(dim) if base is None else base]
-    while top is None or len(chain) <= top:
-        zk = chain[-1]
-        if zk.dim == dim:
-            break
-        low = dim if weights is None else sum(w <= weights[-1] - len(chain) for w in weights)
-        # row i holds the classes mod zk of D [e_i, x_tup] = alg._ad[tup][i]
-        # for every tuple, one block of dim columns per tuple; x is central
-        # mod zk iff x . rows = 0
-        rows: list[SparseVector] = [{} for _ in range(low)]
-        for t, tup in enumerate(tuples):
-            offset = t * dim
-            for i, value in alg._ad.get(tup, {}).items():
-                if i < low:
-                    for j, c in (zk.reduce(value) if zk.dim else value).items():
-                        rows[i][offset + j] = c
-        units = {i: {i: 1} for i in range(low, dim)}
-        nxt = Subspace(dim, {**left_kernel(rows, len(tuples) * dim).rows, **units})
-        if nxt == zk:
+    maps: list[dict[int, dict[int, int]]] = [{} for _ in tuples]
+    for t, tup in enumerate(tuples):
+        for i, row in alg._ad.get(tup, {}).items():
+            for j, x in row.items():
+                maps[t].setdefault(j, {})[i] = x
+    chain = [Subspace.full(dim) if base is None else Subspace.from_vectors(annihilator(base), dim)]
+    while chain[-1].dim and (top is None or len(chain) <= top):
+        nxt = _ad_images(alg, chain[-1].rows.values(), maps)
+        if nxt == chain[-1]:
             break
         chain.append(nxt)
     return chain
+
+
+def _upper_central_series(alg: StructureAlgebra, tuples, top=None, base=None) -> list[Subspace]:
+    """The terms Z_k = ann(A_k) of :func:`_central_annihilators`."""
+    chain = _central_annihilators(alg, tuples, top, base)
+    return [Subspace.from_vectors(annihilator(a), alg.dim) for a in chain]
 
 
 def z_term(alg: StructureAlgebra, c: int) -> AlgebraSubspace:

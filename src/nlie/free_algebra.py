@@ -237,16 +237,6 @@ class GradedComponent:
         representatives (keyed by multidegree)."""
         return GradedComponent(n, d, w, table, {r: [*b.rows.values()] for r, b in builders.items()})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedComponent):
-            return NotImplemented
-        return (self.n, self.d, self.w, self.trees, self.relations) == (
-            other.n, other.d, other.w, other.trees, other.relations
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d, self.w))
-
     @property
     def trees(self) -> tuple[Tree, ...]:
         return self._table.layer(self.w)

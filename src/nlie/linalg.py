@@ -270,6 +270,21 @@ class Subspace:
         return tuple(c for c in range(self.ambient_dim) if c not in self.rows)
 
 
+def annihilator(space: Subspace) -> list[dict]:
+    """A basis of the linear forms that vanish on ``space``: for each
+    non-pivot column q, e_q - sum_p (r_p[q] / r_p[p]) e_p over the rows r_p.
+    A row is 0 at every other pivot, so the form vanishes on r_p, and q is
+    its only non-pivot column, so the forms are independent.  Read off the
+    rows in one pass, with int entries where r_p[p] is 1."""
+    rows = space.rows
+    forms = {q: {q: 1} for q in range(space.ambient_dim) if q not in rows}
+    for p, row in rows.items():
+        for q, x in row.items():
+            if q != p:
+                forms[q][p] = -x if row[p] == 1 else Fraction(-x, row[p])
+    return list(forms.values())
+
+
 def _upper_block(vectors: Iterable[VectorLike], split: int, width: int) -> Subspace:
     """Span ``vectors`` in F^(split + width) and keep the part of the span
     that vanishes below ``split``, shifted down into F^width.

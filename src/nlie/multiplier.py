@@ -9,8 +9,9 @@ and Rbar its kernel,
     multiplier dim  =  dim( gamma_{c+1}(E) /\\ Rbar )  -  dim gamma_{c+1}(Rbar, E, ..., E)
 
 and the c-th star centre of L is phi(Z_c), with Z_c the preimage in E of
-the c-th centre of E / U, U = gamma_{c+1}(Rbar, E, ..., E).  Z_c is computed
-on E itself, as the c-th term of the upper central series modulo U; no
+the c-th centre of E / U, U = gamma_{c+1}(Rbar, E, ..., E).  Z_c is the
+annihilator of a space of forms on E, computed modulo U on the dual, and
+only the images of its basis under phi are spanned; neither Z_c nor a
 quotient algebra is built.  L is c-capable exactly when phi(Z_c) is zero.
 """
 
@@ -27,7 +28,7 @@ from .algebra import (
     NotNilpotentError,
     StructureAlgebra,
     _ad_images,
-    _upper_central_series,
+    _central_annihilators,
     gamma_term,
     nilpotency_class,
 )
@@ -41,6 +42,7 @@ from .linalg import (
     SparseVector,
     Subspace,
     Vector,
+    annihilator,
     apply_rows,
     left_kernel,
     unit_vector,
@@ -105,11 +107,11 @@ def present(
     free = free_nilpotent(algebra.n, d, max(m + c + extra_class, 1), max_trees)
     low = sum(w <= m for w in free.weights)
     values = _evaluate_basis(algebra, free.basis_trees[:low], lifts)
-    if Subspace.from_vectors(values, algebra.dim).dim != algebra.dim:
+    below = left_kernel(values, algebra.dim).rows
+    if low - len(below) != algebra.dim:
         raise AssertionError("presentation map is not surjective")
     phi = values + ({},) * (free.dim - low)
     _check_homomorphism(algebra, free, phi, low)
-    below = left_kernel(values, algebra.dim).rows
     kernel = Subspace(free.dim, {**below, **{i: {i: 1} for i in range(low, free.dim)}})
     return Presentation(algebra, c, m, free, lifts, phi, AlgebraSubspace(free.algebra, kernel))
 
@@ -246,14 +248,10 @@ def _analyze(
     if not numerator.contains_subspace(bottom.space):
         raise AssertionError("denominator escaped the numerator subspace")
     # bottom is closed under every ad(x_J), hence an ideal, and it lies in
-    # Rbar = ker phi, so phi maps the preimage of Z_c(E / bottom) onto the
-    # star centre
-    zc = _upper_central_series(
-        p.free.algebra, _generator_tuples(p), c, p.free.weights, bottom.space
-    )[-1]
-    star = Subspace.from_vectors(
-        [apply_rows(z_row, p.phi) for z_row in zc.rows.values()], algebra.dim
-    )
+    # Rbar = ker phi, so phi maps the preimage of Z_c(E / bottom), the
+    # annihilator of the last form space, onto the star centre
+    forms = _central_annihilators(p.free.algebra, _generator_tuples(p), c, bottom.space)[-1]
+    star = Subspace.from_vectors([apply_rows(z, p.phi) for z in annihilator(forms)], algebra.dim)
     report = MultiplierReport(
         c=c,
         algebra_dim=algebra.dim,

@@ -147,21 +147,38 @@ def test_upper_series_examples():
 SERIES_CASES = catalog_algebras() + [("S3", solvable3()), ("S2", solvable2())]
 
 
+def _lifted_quotient_series(alg, ideal):
+    """The upper series of L/M, lifted into L and summed with M = ``ideal``."""
+    quotient, comp = _quotient(alg, ideal)
+    return [
+        subspace_sum(ideal, Subspace.from_vectors(
+            [{comp[j]: x for j, x in row.items()} for row in z.space.rows.values()],
+            alg.dim,
+        ))
+        for z in upper_central_series(quotient)
+    ]
+
+
 @pytest.mark.parametrize("alg", [alg for _, alg in SERIES_CASES],
                          ids=[label for label, _ in SERIES_CASES])
 def test_upper_series_modulo_an_ideal_lifts_the_quotient_series(alg):
     """With ``base`` = M, the upper series (ungraded, every tuple, no
     truncation) is M plus the lifted upper series of L/M, term by term."""
     for _, ideal in _ideal_choices(alg):
-        quotient, comp = _quotient(alg, ideal.space)
-        lifted = [
-            subspace_sum(ideal.space, Subspace.from_vectors(
-                [{comp[j]: x for j, x in row.items()} for row in z.space.rows.values()],
-                alg.dim,
-            ))
-            for z in upper_central_series(quotient)
-        ]
-        assert _upper_central_series(alg, list(alg._ad), base=ideal.space) == lifted
+        want = _lifted_quotient_series(alg, ideal.space)
+        assert _upper_central_series(alg, list(alg._ad), base=ideal.space) == want
+
+
+@pytest.mark.parametrize("rows", [[{2: 2, 3: -1}], [{2: 1, 3: 1, 4: -2}], [{2: 1, 3: 1}]])
+def test_upper_series_modulo_a_skew_central_ideal(rows):
+    """Central ideals of H(2,1)+A(2) that are not spanned by basis vectors,
+    so the annihilators of the base and of each term carry entries off
+    their pivots, with and without a pivot entry of 1."""
+    alg = direct_sum(heisenberg(2, 1), abelian(2, 2))
+    ideal = Subspace.from_vectors(rows, alg.dim)
+    assert is_ideal(alg, alg.subspace(ideal.basis))
+    want = _lifted_quotient_series(alg, ideal)
+    assert _upper_central_series(alg, list(alg._ad), base=ideal) == want
 
 
 def test_nilpotency_class():
@@ -204,10 +221,12 @@ def test_central_series_computed_once_per_instance(monkeypatch):
         monkeypatch.setattr(algebra_module, name, counted)
 
     first = _series_readings(alg)
-    # one [S, L, ..., L] span per lower term, the stable one included
-    assert calls == {"_ad_images": 4, "_upper_central_series": 1}
+    # one [S, L, ..., L] span per lower term, the stable one included, and
+    # one span of forms per upper term above the first: the upper series
+    # [0, 2, 3, 5] has annihilators of dims 5, 3, 2, 0
+    assert calls == {"_ad_images": 7, "_upper_central_series": 1}
     assert _series_readings(alg) == first
-    assert calls == {"_ad_images": 4, "_upper_central_series": 1}
+    assert calls == {"_ad_images": 7, "_upper_central_series": 1}
 
     fresh = StructureAlgebra(built.n, built.dim, built.basis_names, built.table)
     assert _series_readings(fresh) == first
@@ -281,11 +300,31 @@ def test_subalgebra_on_center():
     assert sub.table == {}
 
 
+def test_subalgebra_on_the_whole_space_reproduces_the_table():
+    """A nonzero bracket of the basis rows becomes a table entry in the
+    coordinates of the echelon basis, here the unit vectors."""
+    alg = free_nilpotent(2, 2, 3).algebra
+    sub = subalgebra_on(alg, alg.full_subspace(), alg.basis_names)
+    assert sub == alg and sub.table
+
+
 def test_subalgebra_rejects_non_closed():
     h = heisenberg(2, 1)
     generators = h.subspace([unit_vector(3, 0), unit_vector(3, 1)])
     with pytest.raises(ValueError, match="subspace is not closed under the bracket"):
         subalgebra_on(h, generators)
+
+
+@pytest.mark.parametrize("table,message", [
+    ({(0, 1, 2): {0: 1}}, r"bracket arguments \(0, 1, 2\) do not have arity 2"),
+    ({(0, 3): {0: 1}}, r"bracket arguments \(0, 3\) out of range"),
+    ({(1, 0): {0: 1}}, r"bracket arguments \(1, 0\) not strictly increasing"),
+    ({(1, 1): {0: 1}}, r"bracket arguments \(1, 1\) not strictly increasing"),
+    ({(0, 1): {3: 1}}, "bracket value index 3 out of range"),
+], ids=["arity", "index", "order", "repeat", "value"])
+def test_structure_algebra_rejects_malformed_tables(table, message):
+    with pytest.raises(ValueError, match=message):
+        StructureAlgebra(2, 3, table=table)
 
 
 def test_constructor_outputs_validate():

@@ -20,6 +20,10 @@ def test_count_both_matches_documented_output(capsys):
     code, out, _ = run_cli(capsys, "count", "-n", "2", "-d", "3", "-w", "3")
     assert code == 0
     assert out == '{"formula": 9, "oracle": 8, "agree": false}\n'
+    # an object payload prints one key and value per line
+    code, out, _ = run_cli(capsys, "count", "-n", "2", "-d", "3", "-w", "3", "--tsv")
+    assert code == 0
+    assert out == "formula\t9\noracle\t8\nagree\tfalse\n"
 
 
 def test_count_single_modes(capsys):
@@ -88,10 +92,12 @@ def test_zcstar_output_is_pinned(capsys, spec, c):
 
 
 def test_validate_constructor(capsys):
-    code, out, _ = run_cli(capsys, "validate", "abelian(5)")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["valid"] is True and doc["violation"] is None
+    # abelian(3,3) has arity 3: one basis triple times C(3, 2) outer pairs
+    for spec, checked in (("abelian(5)", 50), ("abelian(3,3)", 3)):
+        code, out, _ = run_cli(capsys, "validate", spec)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["valid"] is True and doc["violation"] is None and doc["checked"] == checked
 
 
 def test_series_roundtrip_through_file(tmp_path, capsys):
@@ -243,6 +249,9 @@ SOLVABLE = {"n": 2, "dim": 2, "basis": ["e1", "e2"],
 def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
     path = tmp_path / "solvable.json"
     path.write_text(json.dumps(SOLVABLE))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no algebra here")
     not_nilpotent = "error: free presentation requires a nilpotent algebra\n"
     cases = [
         (["multiplier", str(path), "-c", "1"], not_nilpotent),
@@ -268,6 +277,16 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
          "combine algebras with direct_sum(A, B)\n"),
         (["multiplier", "heisenberg(2,1))", "-c", "1"],
          "error: unbalanced parentheses in 'heisenberg(2,1))'\n"),
+        (["count", "-n", "2", "-d", "0", "-w", "2"], "error: need d >= 1\n"),
+        (["series", "direct_sum(heisenberg(2,1))"],
+         "error: direct_sum expects two algebra arguments\n"),
+        (["series", "direct_sum(heisenberg(2,1), h.json)"],
+         "error: direct_sum arguments must be constructor expressions\n"),
+        (["bounds", "--c-max", "1", "--catalog", str(tmp_path / "missing")],
+         f"error: {tmp_path / 'missing'}: [Errno 2] No such file or directory: "
+         f"'{tmp_path / 'missing'}'\n"),
+        (["bounds", "--c-max", "1", "--catalog", str(empty)],
+         f"error: {empty}: no .json algebra files found\n"),
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv) == (2, "", message), argv

@@ -10,6 +10,7 @@ from nlie.linalg import (
     InclusionError,
     SpanBuilder,
     Subspace,
+    annihilator,
     left_kernel,
     quotient_dim,
     subspace_intersect,
@@ -234,6 +235,33 @@ def test_left_kernel_rank_nullity(rows):
         assert not any(combo)
     sparse_rows = [{c: x for c, x in enumerate(row) if x} for row in rows]
     assert left_kernel(sparse_rows, ncols) == kernel
+
+
+@given(int_matrices(max_rows=5, max_cols=5))
+def test_annihilator_is_the_left_kernel_of_the_columns(rows):
+    """The forms read off the rows vanish on the space, and span the same
+    space as the left kernel of the matrix whose columns are its rows."""
+    ncols = len(rows[0])
+    space = Subspace.from_vectors(rows, ncols)
+    forms = annihilator(space)
+    assert len(forms) == ncols - space.dim
+    for form in forms:
+        for row in space.rows.values():
+            assert not sum(x * row.get(q, 0) for q, x in form.items())
+    columns = [[row.get(q, 0) for row in space.rows.values()] for q in range(ncols)]
+    assert Subspace.from_vectors(forms, ncols) == left_kernel(columns, space.dim)
+
+
+def test_annihilator_entries():
+    """Int entries under a pivot entry of 1, Fractions under any other."""
+    space = Subspace(4, {0: {0: 1, 2: -3}, 1: {1: 2, 2: 1, 3: 5}})
+    assert annihilator(space) == [
+        {2: 1, 0: 3, 1: Fraction(-1, 2)},
+        {3: 1, 1: Fraction(-5, 2)},
+    ]
+    assert [type(x) for x in annihilator(space)[0].values()] == [int, int, Fraction]
+    assert annihilator(Subspace.zero(2)) == [{0: 1}, {1: 1}]
+    assert annihilator(Subspace.full(3)) == []
 
 
 def test_exactness_no_rounding():

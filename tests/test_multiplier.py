@@ -23,7 +23,14 @@ from nlie.algebra import (
 from nlie.bounds import catalog_algebras
 from nlie import free_algebra, multiplier
 from nlie.free_algebra import free_nilpotent, graded_dimension
-from nlie.linalg import Subspace, apply_rows, left_kernel, subspace_intersect, subspace_sum
+from nlie.linalg import (
+    Subspace,
+    apply_rows,
+    left_kernel,
+    subspace_intersect,
+    subspace_sum,
+    unit_vector,
+)
 from nlie.multiplier import (
     _check_homomorphism,
     _evaluate_basis,
@@ -38,6 +45,7 @@ from nlie.multiplier import (
     truncation_consistent,
     z_star,
 )
+from test_ad_maps import _upper_reference
 from fractions import Fraction
 
 
@@ -62,6 +70,43 @@ def test_present_free_quotient_is_isomorphism_below_kernel():
     assert p.kernel.space == p.free.layer_span(3)
     for i in range(built.dim):
         assert p.phi[i] == {i: Fraction(1)}
+
+
+def test_present_rejects_bad_lifts():
+    h = heisenberg(2, 1)
+    units = tuple(unit_vector(3, j) for j in (0, 1))
+    for lifts in (units[:1], units + (unit_vector(3, 2),), (units[0], (1, 0))):
+        with pytest.raises(ValueError, match="expected 2 lift vectors of length 3"):
+            present(h, 1, lifts)
+    # e1 and e1 + z are the same class modulo gamma_2 = <z>
+    with pytest.raises(ValueError, match="do not project onto a basis"):
+        present(h, 1, (units[0], (1, 0, 1)))
+
+
+def test_non_surjective_presentation_is_a_failed_self_check(monkeypatch, capsys):
+    """A value that drops out of phi leaves the map short of L: the library
+    raises AssertionError before checking the bracket, and the CLI exits 4."""
+    from nlie.cli import main
+
+    original = multiplier._evaluate_basis
+
+    def dropped(*args):
+        values = list(original(*args))
+        values[0] = {}
+        return tuple(values)
+
+    monkeypatch.setattr(multiplier, "_evaluate_basis", dropped)
+    monkeypatch.setattr(multiplier, "_check_homomorphism", lambda *a: pytest.fail("checked"))
+    with pytest.raises(AssertionError, match="presentation map is not surjective"):
+        present(heisenberg(2, 1), 1)
+    multiplier.clear_cache()
+    try:
+        assert main(["multiplier", "heisenberg(2,1)", "-c", "1"]) == 4
+    finally:
+        multiplier.clear_cache()
+    assert capsys.readouterr().err == (
+        "error: internal self-check failed: presentation map is not surjective\n"
+    )
 
 
 def test_present_rejects_non_nilpotent():
@@ -269,11 +314,38 @@ def _lifted(space, comp, base):
     return subspace_sum(base, Subspace.from_vectors(rows, base.ambient_dim))
 
 
+def _weighted_upper_reference(alg, tuples, top, weights, base):
+    """The upper central series modulo ``base`` that the dual route
+    replaced: the k-th step takes the left kernel of the classes mod Z_k of
+    the maps D ad(x_J), one block of dim columns per tuple, only for the
+    coordinates below weight t+1-k (t the top weight); the rest are unit
+    rows, since Z_k contains gamma_{t+1-k}(E)."""
+    dim = alg.dim
+    chain = [base]
+    while len(chain) <= top and chain[-1].dim < dim:
+        zk = chain[-1]
+        low = sum(w <= weights[-1] - len(chain) for w in weights)
+        rows = [{} for _ in range(low)]
+        for t, tup in enumerate(tuples):
+            for i, value in alg._ad.get(tup, {}).items():
+                if i < low:
+                    for j, x in zk.reduce(value).items():
+                        rows[i][t * dim + j] = x
+        units = {i: {i: 1} for i in range(low, dim)}
+        nxt = Subspace(dim, {**left_kernel(rows, len(tuples) * dim).rows, **units})
+        if nxt == zk:
+            break
+        chain.append(nxt)
+    return chain
+
+
 def _cross_check_below_class(alg, c, lifts=None):
     """Each phase confined below the class against the route it replaced:
     Rbar from every basis vector's value, the full-row chain, and the star
-    centre from the quotient algebra E/U, whose whole upper central series,
-    lifted into E and summed with U, is read at term c."""
+    centre from the quotient algebra E/U, whose whole upper central series
+    (by the left-kernel reference of test_ad_maps), lifted into E and summed
+    with U, is read at term c; and the dual series on E modulo U against
+    the weighted left kernel it replaced."""
     p = present(alg, c, lifts)
     free = p.free
     phi = _evaluate_basis(alg, free.basis_trees, p.lifts)
@@ -286,11 +358,12 @@ def _cross_check_below_class(alg, c, lifts=None):
     bottom = chain[-1].space
     quotient, comp = _quotient(free.algebra, bottom)
     tuples = _generator_tuples(p)
-    lifted = [_lifted(z, comp, bottom) for z in _upper_central_series(quotient, tuples)]
+    lifted = [_lifted(z, comp, bottom) for z in _upper_reference(quotient, tuples)]
     full = _upper_central_series(free.algebra, tuples, base=bottom)
     assert full == lifted
-    cut = _upper_central_series(free.algebra, tuples, c, free.weights, bottom)
+    cut = _upper_central_series(free.algebra, tuples, c, base=bottom)
     assert cut == full[: c + 1]
+    assert cut == _weighted_upper_reference(free.algebra, tuples, c, free.weights, bottom)
     zc = lifted[min(c, len(lifted) - 1)]
     assert cut[-1] == zc
     star = Subspace.from_vectors([apply_rows(row, phi) for row in zc.rows.values()], alg.dim)
