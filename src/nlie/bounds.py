@@ -76,14 +76,15 @@ def _inapplicable(name, descriptor, reason) -> BoundCheck:
     return BoundCheck(name, descriptor, "oracle", None, None, "<=", True, None, False, (reason,))
 
 
-def _count(variant: str, d: int, n: int, w: int) -> int | None:
-    """The weight-w count on d generators: the rank oracle's layer dimension,
-    or the closed-form count (None outside its domain).  Below one generator
-    the oracle count is 0 and the formula has none."""
+def _count(variant: str, d: int, n: int, w: int, max_trees: int | None) -> int | None:
+    """The weight-w count on d generators: the rank oracle's layer dimension
+    (under the tree guard ``max_trees``), or the closed-form count (None
+    outside its domain).  Below one generator the oracle count is 0 and the
+    formula has none."""
     if d < 1:
         return 0 if variant == "oracle" else None
     if variant == "oracle":
-        return graded_dimension(n, d, w)
+        return graded_dimension(n, d, w, max_trees)
     try:
         return convention_count(d, n, w)
     except CountDomainError:
@@ -92,7 +93,7 @@ def _count(variant: str, d: int, n: int, w: int) -> int | None:
 
 def _bound_rows(
     name: str, descriptor: str, value: int, n: int, d: int, weights, extra: int = 0,
-    flags: tuple[str, ...] = (), count_is_lhs: bool = False,
+    flags: tuple[str, ...] = (), count_is_lhs: bool = False, *, max_trees: int | None,
 ) -> list[BoundCheck]:
     """One row per variant for ``value <= sum_w count(d, w) + extra``, or for
     ``sum_w count(d, w) <= value`` when ``count_is_lhs``.  A count outside
@@ -100,7 +101,7 @@ def _bound_rows(
     ``formula-domain-error``."""
     rows = []
     for variant in VARIANTS:
-        terms = [_count(variant, d, n, w) for w in weights]
+        terms = [_count(variant, d, n, w, max_trees) for w in weights]
         if None in terms:
             bound, row_flags = None, ("formula-domain-error",)
         else:
@@ -120,21 +121,22 @@ def _gamma_sum(algebra: StructureAlgebra, c: int, d: int) -> int:
 
 
 def check_quotient_bound(
-    algebra: StructureAlgebra, ideal: AlgebraSubspace, c: int, descriptor: str
+    algebra: StructureAlgebra, ideal: AlgebraSubspace, c: int, descriptor: str,
+    max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> BoundCheck:
     """dim M^(c)(L/M) <= dim M^(c)(L) + dim(gamma_{c+1}(L) /\\ M)."""
     if not is_ideal(algebra, ideal):
         raise ValueError("quotient bound requires an ideal")
-    rep = multiplier_report(algebra, c)
+    rep = multiplier_report(algebra, c, max_trees=max_trees)
     quotient, _ = _quotient(algebra, ideal.space)
-    rep_q = multiplier_report(quotient, c)
+    rep_q = multiplier_report(quotient, c, max_trees=max_trees)
     cap = subspace_intersect(gamma_term(algebra, c + 1).space, ideal.space).dim
     return _row("quotient", descriptor, "oracle", rep_q.multiplier_dim, rep.multiplier_dim + cap)
 
 
 def check_central_tensor_bound(
     algebra: StructureAlgebra, ideal: AlgebraSubspace, c: int, descriptor: str,
-    variant: str = "oracle",
+    variant: str = "oracle", max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> BoundCheck:
     """dim M^(c)(L) + dim(gamma_{c+1}(L) /\\ M) <= dim M^(c)(L/M)
     + dim M^(c)(M) + (dim (L/M)^ab)^(c(n-1)) * dim M, for central M.
@@ -146,13 +148,13 @@ def check_central_tensor_bound(
     if not z_term(algebra, 1).space.contains_subspace(ideal.space):
         raise ValueError("central-tensor bound requires a central ideal")
     n = algebra.n
-    rep = multiplier_report(algebra, c)
+    rep = multiplier_report(algebra, c, max_trees=max_trees)
     cap = subspace_intersect(gamma_term(algebra, c + 1).space, ideal.space).dim
     lhs = rep.multiplier_dim + cap
     quotient, _ = _quotient(algebra, ideal.space)
-    rep_q = multiplier_report(quotient, c)
+    rep_q = multiplier_report(quotient, c, max_trees=max_trees)
     sub = subalgebra_on(algebra, ideal)
-    rep_m = multiplier_report(sub, c)
+    rep_m = multiplier_report(sub, c, max_trees=max_trees)
     ab_dim = quotient.dim - gamma_term(quotient, 2).dim
     tensor_bound = ab_dim ** (c * (n - 1)) * ideal.dim
     rhs = rep_q.multiplier_dim + rep_m.multiplier_dim + tensor_bound
@@ -160,62 +162,65 @@ def check_central_tensor_bound(
 
 
 def check_generator_bounds(
-    algebra: StructureAlgebra, c: int, descriptor: str
+    algebra: StructureAlgebra, c: int, descriptor: str, max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> list[BoundCheck]:
     """count(d, c+1) <= dim M^(c)(L) + dim gamma_{c+1}(L)
     <= count(d, c+1) + sum_i a_i d^(c(n-1)-i+1), with d the minimal
     generator count and a_i = dim gamma_{i+1}(L)."""
     n = algebra.n
-    rep = multiplier_report(algebra, c)
+    rep = multiplier_report(algebra, c, max_trees=max_trees)
     d = minimal_generators(algebra)
     mid = rep.multiplier_dim + gamma_term(algebra, c + 1).dim
     return _bound_rows(
-        "generator-lower", descriptor, mid, n, d, [c + 1], count_is_lhs=True
-    ) + _bound_rows("generator-upper", descriptor, mid, n, d, [c + 1], _gamma_sum(algebra, c, d))
+        "generator-lower", descriptor, mid, n, d, [c + 1], count_is_lhs=True, max_trees=max_trees
+    ) + _bound_rows("generator-upper", descriptor, mid, n, d, [c + 1], _gamma_sum(algebra, c, d),
+                    max_trees=max_trees)
 
 
 def check_class_bounds(
-    algebra: StructureAlgebra, c: int, descriptor: str
+    algebra: StructureAlgebra, c: int, descriptor: str, max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> list[BoundCheck]:
     """Class-m branch bounds on dim M^(c)(L): sum_{k=0..c} count(m+k) when
     m <= c, and sum_{k=1..m} count(c+k) when m >= c+1.  The generator count
     of L is used for d."""
-    rep = multiplier_report(algebra, c)
+    rep = multiplier_report(algebra, c, max_trees=max_trees)
     m = rep.nil_class
     if m < 1:
         return [_inapplicable("class", descriptor, "zero-dimensional")]
     d = minimal_generators(algebra)
     weights = range(m, m + c + 1) if m <= c else range(c + 1, c + m + 1)
     return _bound_rows("class", descriptor, rep.multiplier_dim, algebra.n, d, weights,
-                       flags=("d-read-as-generator-count",))
+                       flags=("d-read-as-generator-count",), max_trees=max_trees)
 
 
 def check_hypercenter_bound(
-    algebra: StructureAlgebra, c: int, descriptor: str
+    algebra: StructureAlgebra, c: int, descriptor: str, max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> list[BoundCheck]:
     """dim gamma_{c+1}(L) <= count(dim(L/Z_c(L)), c+1); plus the corollary
     variant that bounds via the generator data of L/Z_c(L)."""
     n = algebra.n
     gdim = gamma_term(algebra, c + 1).dim
     zc = z_term(algebra, c)
-    rows = _bound_rows("hypercenter", descriptor, gdim, n, algebra.dim - zc.dim, [c + 1])
+    rows = _bound_rows("hypercenter", descriptor, gdim, n, algebra.dim - zc.dim, [c + 1],
+                       max_trees=max_trees)
     quotient, _ = _quotient(algebra, zc.space)
     if nilpotency_class(quotient) is None:
         rows.append(_inapplicable("hypercenter-corollary", descriptor, "quotient-not-nilpotent"))
         return rows
     dq = minimal_generators(quotient)
     return rows + _bound_rows("hypercenter-corollary", descriptor, gdim, n, dq, [c + 1],
-                              _gamma_sum(quotient, c, dq), ("corollary-form",))
+                              _gamma_sum(quotient, c, dq), ("corollary-form",),
+                              max_trees=max_trees)
 
 
 def check_dim_cap_bound(
-    algebra: StructureAlgebra, c: int, descriptor: str
+    algebra: StructureAlgebra, c: int, descriptor: str, max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> list[BoundCheck]:
     """dim M^(c)(L) + dim gamma_{c+1}(L) <= count(dim L, c+1)."""
-    rep = multiplier_report(algebra, c)
+    rep = multiplier_report(algebra, c, max_trees=max_trees)
     lhs = rep.multiplier_dim + gamma_term(algebra, c + 1).dim
     return _bound_rows("dim-cap", descriptor, lhs, algebra.n, algebra.dim, [c + 1],
-                       flags=("d-read-as-dim",))
+                       flags=("d-read-as-dim",), max_trees=max_trees)
 
 
 def _is_maximal_class(algebra: StructureAlgebra, c: int) -> bool:
@@ -235,16 +240,16 @@ def _is_maximal_class(algebra: StructureAlgebra, c: int) -> bool:
 
 
 def check_maximal_class_bound(
-    algebra: StructureAlgebra, c: int, descriptor: str
+    algebra: StructureAlgebra, c: int, descriptor: str, max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> list[BoundCheck]:
     """dim M^(c)(L) <= count(dim L - 1, c+1) + n^(c(n-1)), for algebras of
     maximal class c+1 (unit central steps, dim Z_c = dim gamma_2 = dim - n)."""
     n = algebra.n
     if not _is_maximal_class(algebra, c):
         return [_inapplicable("maximal-class", descriptor, "not-of-maximal-class")]
-    rep = multiplier_report(algebra, c)
+    rep = multiplier_report(algebra, c, max_trees=max_trees)
     return _bound_rows("maximal-class", descriptor, rep.multiplier_dim, n, algebra.dim - 1,
-                       [c + 1], n ** (c * (n - 1)))
+                       [c + 1], n ** (c * (n - 1)), max_trees=max_trees)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -299,15 +304,15 @@ def run_catalog(
             continue
         for c in range(1, c_max + 1):
             descriptor = f"L={label}, c={c}"
-            checks.extend(check_generator_bounds(algebra, c, descriptor))
-            checks.extend(check_class_bounds(algebra, c, descriptor))
-            checks.extend(check_hypercenter_bound(algebra, c, descriptor))
-            checks.extend(check_dim_cap_bound(algebra, c, descriptor))
-            checks.extend(check_maximal_class_bound(algebra, c, descriptor))
+            checks.extend(check_generator_bounds(algebra, c, descriptor, max_trees))
+            checks.extend(check_class_bounds(algebra, c, descriptor, max_trees))
+            checks.extend(check_hypercenter_bound(algebra, c, descriptor, max_trees))
+            checks.extend(check_dim_cap_bound(algebra, c, descriptor, max_trees))
+            checks.extend(check_maximal_class_bound(algebra, c, descriptor, max_trees))
             centre = z_term(algebra, 1)
             for mlabel, ideal in _ideal_choices(algebra):
                 mdesc = f"L={label}, M={mlabel}, c={c}"
-                checks.append(check_quotient_bound(algebra, ideal, c, mdesc))
+                checks.append(check_quotient_bound(algebra, ideal, c, mdesc, max_trees))
                 if centre.space.contains_subspace(ideal.space):
                     # Asserted central-tensor instances are the zero ideal,
                     # a central derived subalgebra, and the whole algebra
@@ -318,7 +323,7 @@ def run_catalog(
                     # H(2,1)+A(2) at c=2.
                     variant = "oracle" if mlabel in ("0", "gamma2", "L") else "exploratory"
                     checks.append(
-                        check_central_tensor_bound(algebra, ideal, c, mdesc, variant)
+                        check_central_tensor_bound(algebra, ideal, c, mdesc, variant, max_trees)
                     )
     checks.sort(key=lambda ck: (ck.name, ck.descriptor, ck.variant))
     return checks

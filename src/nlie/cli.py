@@ -10,6 +10,7 @@ check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -498,9 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on the first call in a
+    process and reused by every later :func:`main`; parsing never changes
+    it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.max_trees < 1:
             raise InputError("--max-trees must be at least 1")

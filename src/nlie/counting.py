@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .free_algebra import DEFAULT_MAX_TREES, graded_dimension
+from .free_algebra import DEFAULT_MAX_TREES, _tree_ids, graded_dimension
 
 
 class CountDomainError(ValueError):
@@ -114,13 +114,17 @@ def compare_table(
     max_cells: int = 400,
     max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> list[CountRow]:
-    """Formula-vs-oracle table over a bounded grid; reports, never asserts."""
+    """Formula-vs-oracle table over a bounded grid; reports, never asserts.
+    Each column's tree table is grown to the largest weight before its
+    cells, so its multidegree keys are made once, in one digit base."""
     d_values = list(d_values)
     w_values = list(w_values)
     if len(d_values) * len(w_values) > max_cells:
         raise GridLimitError(len(d_values) * len(w_values), max_cells)
     rows = []
     for d in d_values:
+        if w_values:
+            _tree_ids(n, d, max(w_values), max_trees)
         for w in w_values:
             oracle = graded_dimension(n, d, w, max_trees)
             note = ""

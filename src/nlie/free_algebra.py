@@ -352,17 +352,43 @@ def _identity_instance_rows(
     """Direct Jacobi-identity instances of weight w on canonical trees, with
     their multidegrees; only those whose multidegree key (in ``keys``, the
     table's keys of the trees below weight w) is in ``wanted``, which maps
-    it to the multidegree.
+    it to the multidegree.  For n = 2 and n = 3 an instance (ts, ss) is
+    generated only when ss[-1] > ts[-1] or ss[0] > ts[1], one per span
+    class; for n >= 4 every pair is.
 
-    For n = 2 only one instance per set of three trees is generated: the
-    one with ts = (a, b) and ss = (c,) for a < b < c.  The row of
+    For n = 2 that is one instance per set of three trees: the one with
+    ts = (a, b) and ss = (c,) for a < b < c.  The row of
     ts = (t1, t2), ss = (s) is C(t1, t2, s) = [[t1,t2],s] + [[t2,s],t1] +
     [[s,t1],t2].  A cyclic shift of the arguments permutes its terms, and
     swapping t1 and t2 negates every term while trading the last two, so C
     is alternating in its three arguments: the instances on {a, b, c} are
     all +-C(a, b, c).  A repeated tree makes the row 0, and such rows are
-    dropped anyway.  For n >= 3 the instance has no such symmetry between
-    ts and ss, and every pair is generated."""
+    dropped anyway.
+
+    For n = 3, with ts = (t1, t2, t3) and ss = (s1, s2), the instances
+    split by how many trees ts and ss share:
+
+    * two: J((a,b,c),(a,b)) = [[a,b,c],a,b] - [a,b,[c,a,b]] = 0, since
+      (x,a,b) -> (a,b,x) is an even permutation.  None is kept: s2 <= t3,
+      and s1 > t2 would put s2 above t3;
+    * one, a: J((a,b,c),(a,s)) = [[a,b,c],a,s] - [a,[b,a,s],c] -
+      [a,b,[c,a,s]] has the terms {[a,b,c],a,s}, {[a,b,s],a,c} and
+      {[a,c,s],a,b}, and trading two of b, c, s permutes those terms and
+      negates each (a hand check), so the row is alternating in (b, c, s).
+      The one arrangement kept is the one whose unshared tree of ss is the
+      largest of the three: s2 > t3 when a = s1, and s1 > t2 when
+      a = s2 = t3;
+    * none: the 10 splits of five distinct trees span a 5-dim space, and
+      the 5 kept, where ss holds the largest tree or ss = {3rd, 4th}, are
+      a basis of it (checked over letters, the block (1,1,1,1,1) of
+      (n, d, w) = (3, 5, 3)).
+
+    Each fact is an identity over letters x1..x5.  Substituting canonical
+    trees T1 < ... < T5 for the letters is linear and commutes with
+    canonicalizing, as in the relabelling lemma of
+    :func:`graded_component` (the free alternating algebra maps to any
+    choice of trees), so every skipped instance lies in the span of the
+    kept ones, and the generated rows span the same R_w."""
     ids, start, kids, runs = table.ids, table.starts[w], table.kids, table.runs
     for u in range(2, w):
         company = [
@@ -371,10 +397,10 @@ def _identity_instance_rows(
         # the n-tuples of weight u + n - 2 are the interned trees of weight u
         for t in range(table.starts[u], table.starts[u + 1]):
             ts, t_key = kids[t], keys[t]
-            # ids are >= 1, so for n >= 3 no ss is skipped
-            above = ts[1] if n == 2 else 0
+            # ids are >= 1, so for n >= 4 no ss is skipped
+            top, second = (ts[-1], ts[1]) if n < 4 else (0, 0)
             for ss, s_key in company:
-                if ss[0] <= above:
+                if ss[-1] <= top and ss[0] <= second:
                     continue
                 m = wanted.get(t_key + s_key)
                 if m is None:
@@ -404,18 +430,17 @@ def _wrapped_relation_rows(
     Take a wrap [r, p_1, ..., p_{n-1}], r in R_v, with v < w - 1; by
     weight, some payload is a bracket p = [z_1, ..., z_n].  Wrapping is
     linear in r, so let r = sum_tau c_tau tau over trees tau of weight v,
-    and let q be the other payloads.  The generated instance
-    J((z_1, ..., z_n), (tau, q)), summed with the c_tau, reads
-    [p, r, q] = sum_i [z_1, ..., [z_i, r, q], ..., z_n], which rewrites
-    the wrap as +- sum_i [z_1, ..., [z_i, r, q], ..., z_n].  Each inner
-    bracket [z_i, r, q] is a wrap of r with lighter payloads, of weight
-    v' with v < v' < w, so it lies in R_{v'} (R is an ideal, and by
-    induction on the weight the rows computed for R_{v'} span all of it).
-    The outer bracket then wraps that element of R_{v'} with the payloads
-    z_j, so it is a wrap at weight w with w - v' < w - v, and lies in the
-    span by induction.  For n = 2 the generated instance on the three
-    trees {z_1, z_2, tau} is +- that instance, because the Jacobi row is
-    alternating (see :func:`_identity_instance_rows`)."""
+    and let q be the other payloads.  The instance
+    J((z_1, ..., z_n), (tau, q)), which lies in the span of the generated
+    instances (see :func:`_identity_instance_rows`), summed with the
+    c_tau, reads [p, r, q] = sum_i [z_1, ..., [z_i, r, q], ..., z_n],
+    which rewrites the wrap as +- sum_i [z_1, ..., [z_i, r, q], ..., z_n].
+    Each inner bracket [z_i, r, q] is a wrap of r with lighter payloads,
+    of weight v' with v < v' < w, so it lies in R_{v'} (R is an ideal, and
+    by induction on the weight the rows computed for R_{v'} span all of
+    it).  The outer bracket then wraps that element of R_{v'} with the
+    payloads z_j, so it is a wrap at weight w with w - v' < w - v, and lies
+    in the span by induction."""
     lower = graded_component(n, d, w - 1, max_trees)
     ids, start, offset = table.ids, table.starts[w], table.starts[w - 1]
     payloads = list(combinations(range(1, d + 1), n - 1))
@@ -450,7 +475,7 @@ def filippov_relations(
 ) -> list[dict[int, int]]:
     """Every generated relation row of weight w, as sparse integer coordinate
     vectors over ``canon_trees(n, d, w)``: the identity instances (for
-    n = 2 one per set of three trees, see :func:`_identity_instance_rows`)
+    n = 2 and 3 one per span class, see :func:`_identity_instance_rows`)
     and the wrapped relations of weight w - 1 (see
     :func:`_wrapped_relation_rows`), in every multidegree.  Empty for
     w <= 2 (no identity instance fits below weight 3)."""
@@ -572,11 +597,10 @@ def graded_component(
     J(ts, ss) therefore maps to J(sigma ts, sigma ss).  J is multilinear
     and alternating in ts and in ss separately, so that is +-J(ts', ss'),
     where ts' and ss' are the canonical forms of sigma ts and sigma ss
-    sorted ascending: the generated instance on pool tuples of the same
-    weights.  For n = 2 only the instance C(a, b, c) with a < b < c is
-    generated on each set of three trees; C is alternating, so sigma of it
-    is +-C on the sorted canonical images, the generated instance on that
-    set.  By induction on the weight, sigma R_v = R_v for v < w (there
+    sorted ascending: an instance on pool tuples of the same weights, so
+    in the span of the generated instances (see
+    :func:`_identity_instance_rows`).  By induction on the weight,
+    sigma R_v = R_v for v < w (there
     is nothing below weight 3).  A wrapped row [r, p] with r in R_v maps
     to [sigma r, sigma p] = +-[sigma r, p'] for the sorted canonical
     payload p'; sigma r is a combination of any basis b of R_v, so this is
@@ -597,7 +621,14 @@ def graded_component(
     per S_d orbit: the partitions of the leaf count (w-1)(n-1)+1 into at
     most d parts, padded with zeros, as the targets of
     :func:`_relation_rows`, and each is eliminated in its own builder; its
-    semi-echelon integer rows are a basis of that block.  The blocks with
+    semi-echelon integer rows are a basis of that block.  A builder gets
+    its block's rows in descending order of first column, ties in the
+    order they were generated.  The first columns of any semi-echelon
+    basis of a span are the leading columns of its nonzero vectors, so the
+    order changes the stored rows but not their span or rank.  In that
+    order a row whose first column lies left of every stored one is stored
+    with no clearing at all, and only rows that share a first column get
+    cleared.  The blocks with
     relations are the distinct rearrangements of the representatives
     whose builder got rows, so no key of a weight-w tree is read: the
     instances read the keys of their arguments, of weight w - 1 and
@@ -621,7 +652,12 @@ def graded_component(
     table = _tree_ids(n, d, w, max_trees)
     builders: dict[tuple[int, ...], SpanBuilder] = {}
     width = table.starts[w + 1] - table.starts[w]
-    for m, row in _relation_rows(n, d, w, _partitions(_leaves(n, w), d), max_trees):
+    # popped in descending order of first column, ties in the order they
+    # were generated; each row is dropped once it is inserted
+    rows = [*_relation_rows(n, d, w, _partitions(_leaves(n, w), d), max_trees)][::-1]
+    rows.sort(key=lambda pair: min(pair[1]))
+    while rows:
+        m, row = rows.pop()
         builder = builders.get(m)
         if builder is None:
             builder = builders[m] = SpanBuilder(width)

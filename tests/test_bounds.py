@@ -20,7 +20,8 @@ from nlie.bounds import (
     run_catalog,
     violations,
 )
-from nlie.free_algebra import free_nilpotent, graded_dimension
+from nlie import free_algebra, multiplier
+from nlie.free_algebra import ResourceLimitError, free_nilpotent, graded_dimension
 from nlie.linalg import unit_vector
 
 
@@ -199,3 +200,38 @@ def test_catalog_flags_non_nilpotent_entries():
     assert len(checks) == 1
     assert not checks[0].applicable
     assert not violations(checks)
+
+
+def _guarded_checks():
+    h22, h21 = heisenberg(2, 2), heisenberg(2, 1)
+    centre = z_term(h22, 1)
+    return {
+        "generator": lambda guard: check_generator_bounds(h22, 2, "L=H(2,2)", guard),
+        "class": lambda guard: check_class_bounds(h22, 2, "L=H(2,2)", guard),
+        "hypercenter": lambda guard: check_hypercenter_bound(h22, 1, "L=H(2,2)", guard),
+        "dim-cap": lambda guard: check_dim_cap_bound(h22, 2, "L=H(2,2)", guard),
+        "maximal-class": lambda guard: check_maximal_class_bound(h21, 1, "L=H(2,1)", guard),
+        "quotient": lambda guard: check_quotient_bound(h22, centre, 2, "M=centre", guard),
+        "central-tensor": lambda guard: check_central_tensor_bound(
+            h22, centre, 2, "M=centre", "oracle", guard
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_guarded_checks()))
+def test_checkers_pass_the_tree_guard_to_the_oracle_and_covers(name):
+    check = _guarded_checks()[name]
+    free_algebra.clear_caches()
+    multiplier.clear_cache()
+    with pytest.raises(ResourceLimitError):
+        check(1)
+    free_algebra.clear_caches()
+    multiplier.clear_cache()
+    assert check(free_algebra.DEFAULT_MAX_TREES) == check(None)
+
+
+def test_run_catalog_passes_the_tree_guard():
+    free_algebra.clear_caches()
+    multiplier.clear_cache()
+    with pytest.raises(ResourceLimitError, match="more than 20 canonical trees"):
+        run_catalog(2, max_trees=20)

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from nlie import free_algebra
+from nlie import cli, free_algebra, multiplier
 from nlie.bounds import BoundCheck
-from nlie.cli import main
+from nlie.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -319,3 +321,42 @@ def test_failed_self_check_exits_4_with_one_line(capsys, monkeypatch):
         multiplier.clear_cache()
     message = "error: internal self-check failed: bracket not respected on basis tuple (0, 1)\n"
     assert got == (4, "", message)
+
+
+def test_bounds_max_trees_guards_the_covers(capsys):
+    free_algebra.clear_caches()
+    multiplier.clear_cache()
+    assert run_cli(capsys, "bounds", "--c-max", "2", "--max-trees", "20") == (
+        2, "", "error: more than 20 canonical trees at (n=2, d=4, w=3)\n"
+    )
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    """main builds the parser once per process: a graded run, an exit-2
+    input, a usage error and a --tsv run in one process print what each
+    prints in a process of its own."""
+    runs = [
+        ["graded", "-n", "2", "-d", "3", "-w", "4"],
+        ["graded", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "0"],
+        ["graded", "-n", "2"],
+        ["count", "-n", "2", "-d", "3", "-w", "3", "--tsv"],
+    ]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    together = []
+    for argv in runs:
+        free_algebra.clear_caches()
+        try:
+            together.append(run_cli(capsys, *argv))
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            together.append((exc.code, captured.out, captured.err))
+    cli._parser.cache_clear()
+    assert built == [1]
+    for argv, (code, out, err) in zip(runs, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "nlie.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert [code for code, _, _ in together] == [0, 2, 2, 0]

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from nlie import free_algebra
 from nlie.counting import (
     CountDomainError,
     GridLimitError,
@@ -8,7 +11,7 @@ from nlie.counting import (
     formula_count,
     layer_sum,
 )
-from nlie.free_algebra import graded_dimension
+from nlie.free_algebra import _TreeIds, graded_dimension
 
 
 # hand-evaluated transcription fixtures
@@ -73,3 +76,23 @@ def test_compare_table_pure():
     first = compare_table(2, [2, 3], [1, 2, 3])
     second = compare_table(2, [2, 3], [1, 2, 3])
     assert first == second
+
+
+def test_compare_table_keys_each_column_once(monkeypatch):
+    """Each (n, d) column's tree table is grown to the largest weight before
+    its cells, so its multidegree keys start over at most once (21 restarts
+    on this grid when the table grew a weight per cell)."""
+    free_algebra.clear_caches()
+    restarts = Counter()
+    original = _TreeIds.multidegrees
+
+    def spy(self, w):
+        before = self._keys
+        out = original(self, w)
+        restarts[self.n, self.d] += self._keys is not before
+        return out
+
+    monkeypatch.setattr(_TreeIds, "multidegrees", spy)
+    rows = compare_table(2, range(1, 9), range(1, 6))
+    assert len(rows) == 40 and rows[-1].oracle == 6552
+    assert restarts and max(restarts.values()) == 1
