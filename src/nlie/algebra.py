@@ -80,6 +80,12 @@ class StructureAlgebra:
         self.table = clean
 
     def canonical_key(self) -> tuple:
+        return self._canonical_key
+
+    @cached_property
+    def _canonical_key(self) -> tuple:
+        # built once, like the central series below: the algebra is never
+        # mutated after construction
         items = tuple(
             (args, tuple(sorted(self.table[args].items())))
             for args in sorted(self.table)

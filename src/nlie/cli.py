@@ -356,159 +356,182 @@ def cmd_validate(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
+_INT = {"type": int, "required": True}
+_ALGEBRA = ("algebra", {"help": "algebra file or constructor expression"})
+
+# Every subcommand once: name -> (help, description, arguments).  An argument
+# is (flag, options); a list of them is a mutually exclusive group.  The
+# subcommand runs cmd_<name>, looked up when its parser is built.
+_COMMANDS: dict[str, tuple[str, str, list]] = {
+    "count": (
+        "basic-commutator count: closed formula vs rank oracle",
+        "Evaluate the number of basic commutators of weight w on d "
+        "generators: the closed counting formula and/or the rank oracle "
+        "(the true graded dimension of the free n-Lie algebra).",
+        [
+            ("-n", dict(_INT, help="bracket arity")),
+            ("-d", dict(_INT, help="generator count")),
+            ("-w", dict(_INT, help="weight")),
+            [(f"--{mode}", {"dest": "mode", "action": "store_const", "const": mode,
+                            "default": "both"}) for mode in ("formula", "oracle", "both")],
+        ],
+    ),
+    "table": (
+        "formula-vs-oracle comparison table",
+        "Tabulate the basic-commutator counting formula against the "
+        "rank oracle over a (d, w) grid; disagreements are reported, not asserted.",
+        [("-n", _INT), ("--d-max", _INT), ("--w-max", _INT)],
+    ),
+    "graded": (
+        "one weight layer of the free n-Lie algebra",
+        "Compute a graded component of the free n-Lie algebra: "
+        "canonical trees, relation rank, and the layer dimension.",
+        [
+            ("-n", _INT), ("-d", _INT), ("-w", _INT),
+            ("--basis", {"action": "store_true", "help": "include the basis trees"}),
+        ],
+    ),
+    "free-nilpotent": (
+        "free nilpotent quotient with structure constants",
+        "Build the free nilpotent n-Lie algebra on d generators of "
+        "class at most k; optionally emit its structure constants as JSON.",
+        [
+            ("-n", _INT), ("-d", _INT), ("-k", _INT),
+            ("--emit", {"metavar": "FILE", "help": "write the algebra JSON here"}),
+        ],
+    ),
+    "series": (
+        "lower or upper central series",
+        "Compute the lower central series (default) or upper central "
+        "series of an algebra given by structure constants.",
+        [
+            _ALGEBRA,
+            [
+                ("--lower", {"action": "store_true", "help": "lower central series (default)"}),
+                ("--upper", {"action": "store_true", "help": "upper central series"}),
+            ],
+        ],
+    ),
+    "multiplier": (
+        "c-nilpotent multiplier of a nilpotent algebra",
+        "Compute the c-nilpotent multiplier dimension (and the full "
+        "report of presentation dimensions) for a nilpotent n-Lie algebra.",
+        [_ALGEBRA, ("-c", dict(_INT, help="nilpotency degree of the multiplier"))],
+    ),
+    "zcstar": (
+        "c-th star centre and c-capability",
+        "Compute the image of the c-th centre of the free c-central "
+        "extension (the c-th star centre); the algebra is c-capable iff it is zero.",
+        [_ALGEBRA, ("-c", _INT)],
+    ),
+    "heisenberg": (
+        "Heisenberg n-Lie algebra constructor",
+        "Construct the Heisenberg n-Lie algebra H(n, m) of dimension "
+        "m*n + 1 and optionally emit its structure constants.",
+        [("-n", _INT), ("-m", _INT), ("--emit", {"metavar": "FILE"})],
+    ),
+    "bounds": (
+        "run the multiplier bound-check catalog",
+        "Run every dimension-bound checker (quotient, central-tensor, "
+        "generator, class, hypercenter, dim-cap, maximal-class) over the built-in "
+        "catalog or a directory of algebra files.  Exit status 3 if any "
+        "oracle-variant check fails.",
+        [
+            ("--c-max", {"type": int, "default": 2}),
+            ("--catalog", {"metavar": "DIR", "help": "directory of algebra JSON files"}),
+        ],
+    ),
+    "validate": (
+        "check the Filippov identity on structure constants",
+        "Check every instance of the generalized Jacobi (Filippov) "
+        "identity on basis tuples; reports the first violation if any.",
+        [_ALGEBRA],
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give ``parser`` the options every subcommand shares, then the
+    arguments and the function of the subcommand ``name``."""
+    parser.add_argument("--tsv", action="store_true", help="emit TSV instead of JSON")
+    parser.add_argument(
+        "--max-trees",
+        type=int,
+        default=DEFAULT_MAX_TREES,
+        help="resource guard on canonical-tree enumeration (default 200000)",
+    )
+    for argument in _COMMANDS[name][2]:
+        if isinstance(argument, list):
+            group = parser.add_mutually_exclusive_group()
+            for flag, options in argument:
+                group.add_argument(flag, **options)
+        else:
+            parser.add_argument(argument[0], **argument[1])
+    parser.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlie",
         description="Exact-arithmetic workbench for n-Lie (Filippov) algebras.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tsv", action="store_true", help="emit TSV instead of JSON")
-    common.add_argument(
-        "--max-trees",
-        type=int,
-        default=DEFAULT_MAX_TREES,
-        help="resource guard on canonical-tree enumeration (default 200000)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "count",
-        parents=[common],
-        help="basic-commutator count: closed formula vs rank oracle",
-        description="Evaluate the number of basic commutators of weight w on d "
-        "generators: the closed counting formula and/or the rank oracle "
-        "(the true graded dimension of the free n-Lie algebra).",
-    )
-    p.add_argument("-n", type=int, required=True, help="bracket arity")
-    p.add_argument("-d", type=int, required=True, help="generator count")
-    p.add_argument("-w", type=int, required=True, help="weight")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--formula", dest="mode", action="store_const", const="formula")
-    group.add_argument("--oracle", dest="mode", action="store_const", const="oracle")
-    group.add_argument("--both", dest="mode", action="store_const", const="both")
-    p.set_defaults(mode="both", func=cmd_count)
-
-    p = sub.add_parser(
-        "table",
-        parents=[common],
-        help="formula-vs-oracle comparison table",
-        description="Tabulate the basic-commutator counting formula against the "
-        "rank oracle over a (d, w) grid; disagreements are reported, not asserted.",
-    )
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--w-max", type=int, required=True)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser(
-        "graded",
-        parents=[common],
-        help="one weight layer of the free n-Lie algebra",
-        description="Compute a graded component of the free n-Lie algebra: "
-        "canonical trees, relation rank, and the layer dimension.",
-    )
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-w", type=int, required=True)
-    p.add_argument("--basis", action="store_true", help="include the basis trees")
-    p.set_defaults(func=cmd_graded)
-
-    p = sub.add_parser(
-        "free-nilpotent",
-        parents=[common],
-        help="free nilpotent quotient with structure constants",
-        description="Build the free nilpotent n-Lie algebra on d generators of "
-        "class at most k; optionally emit its structure constants as JSON.",
-    )
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--emit", metavar="FILE", help="write the algebra JSON here")
-    p.set_defaults(func=cmd_free_nilpotent)
-
-    p = sub.add_parser(
-        "series",
-        parents=[common],
-        help="lower or upper central series",
-        description="Compute the lower central series (default) or upper central "
-        "series of an algebra given by structure constants.",
-    )
-    p.add_argument("algebra", help="algebra file or constructor expression")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--lower", action="store_true", help="lower central series (default)")
-    group.add_argument("--upper", action="store_true", help="upper central series")
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser(
-        "multiplier",
-        parents=[common],
-        help="c-nilpotent multiplier of a nilpotent algebra",
-        description="Compute the c-nilpotent multiplier dimension (and the full "
-        "report of presentation dimensions) for a nilpotent n-Lie algebra.",
-    )
-    p.add_argument("algebra", help="algebra file or constructor expression")
-    p.add_argument("-c", type=int, required=True, help="nilpotency degree of the multiplier")
-    p.set_defaults(func=cmd_multiplier)
-
-    p = sub.add_parser(
-        "zcstar",
-        parents=[common],
-        help="c-th star centre and c-capability",
-        description="Compute the image of the c-th centre of the free c-central "
-        "extension (the c-th star centre); the algebra is c-capable iff it is zero.",
-    )
-    p.add_argument("algebra", help="algebra file or constructor expression")
-    p.add_argument("-c", type=int, required=True)
-    p.set_defaults(func=cmd_zcstar)
-
-    p = sub.add_parser(
-        "heisenberg",
-        parents=[common],
-        help="Heisenberg n-Lie algebra constructor",
-        description="Construct the Heisenberg n-Lie algebra H(n, m) of dimension "
-        "m*n + 1 and optionally emit its structure constants.",
-    )
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=cmd_heisenberg)
-
-    p = sub.add_parser(
-        "bounds",
-        parents=[common],
-        help="run the multiplier bound-check catalog",
-        description="Run every dimension-bound checker (quotient, central-tensor, "
-        "generator, class, hypercenter, dim-cap, maximal-class) over the built-in "
-        "catalog or a directory of algebra files.  Exit status 3 if any "
-        "oracle-variant check fails.",
-    )
-    p.add_argument("--c-max", type=int, default=2)
-    p.add_argument("--catalog", metavar="DIR", help="directory of algebra JSON files")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser(
-        "validate",
-        parents=[common],
-        help="check the Filippov identity on structure constants",
-        description="Check every instance of the generalized Jacobi (Filippov) "
-        "identity on basis tuples; reports the first violation if any.",
-    )
-    p.add_argument("algebra", help="algebra file or constructor expression")
-    p.set_defaults(func=cmd_validate)
+    for name, (summary, description, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary, description=description), name)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of :func:`build_parser`, built on the first call in a
-    process and reused by every later :func:`main`; parsing never changes
-    it."""
+    process that needs it and reused by every later :func:`main`; parsing
+    never changes it."""
     return build_parser()
 
 
+class _Unparsed(Exception):
+    """A one-subcommand parser met input it does not accept."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Unparsed(message)
+
+
+def build_command_parser(name: str) -> argparse.ArgumentParser:
+    """A parser of the subcommand ``name`` alone: the arguments and
+    defaults the full parser gives it, plus its ``command``, so a valid
+    input parses to the same namespace.  It has no help option and raises
+    :class:`_Unparsed` instead of printing, so every help request
+    (abbreviations too) and every error can go on to the full parser,
+    whose text is the one printed."""
+    parser = _OneCommandParser(prog=f"nlie {name}", add_help=False)
+    _add_arguments(parser, name)
+    parser.set_defaults(command=name)
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of :func:`build_command_parser`, built once per process."""
+    return build_command_parser(name)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``argv``: read by the parser of its subcommand
+    alone when ``argv`` starts with a subcommand, asks for no help and has
+    no error, and otherwise by the full parser, which prints the help or
+    the error and exits."""
+    if argv and argv[0] in _COMMANDS and "-h" not in argv and "--help" not in argv:
+        try:
+            return _command_parser(argv[0]).parse_args(argv[1:])
+        except _Unparsed:
+            pass
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.max_trees < 1:
             raise InputError("--max-trees must be at least 1")

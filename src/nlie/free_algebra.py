@@ -333,19 +333,6 @@ def _instance_row(
     return row
 
 
-def _wrapped_row(
-    relation: dict[int, int], offset: int, payload: tuple[int, ...], ids: dict, start: int
-) -> dict[int, int]:
-    """A relation row of the layer below (columns = ids - ``offset``) in the
-    first slot of a bracket with the increasing generator tuple ``payload``
-    in the others.  Generators come first in the tree order, so the bracket
-    of a tree t of that layer is the canonical tree (payload..., t), with
-    the sign of moving t past the n - 1 generators: nothing is
-    canonicalized and no two terms meet."""
-    sign = -1 if len(payload) % 2 else 1
-    return {ids[payload + (offset + col,)] - start: sign * x for col, x in relation.items()}
-
-
 def _identity_instance_rows(
     n: int, w: int, table: _TreeIds, keys: list[int], wanted: dict[int, tuple[int, ...]],
 ) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
@@ -440,9 +427,23 @@ def _wrapped_relation_rows(
     by induction on the weight the rows computed for R_{v'} span all of
     it).  The outer bracket then wraps that element of R_{v'} with the
     payloads z_j, so it is a wrap at weight w with w - v' < w - v, and lies
-    in the span by induction."""
+    in the span by induction.
+
+    Shift lemma.  A wrapped row needs no canonicalizing and no lookup per
+    entry.  Generators come first in the tree order, so for a tree t of
+    weight w - 1 (a bracket: R_{w-1} has rows only for w - 1 >= 3) the
+    bracket [t, p_1, ..., p_{n-1}] is the canonical tree (p, t), with the
+    sign (-1)^(n-1) of moving t past the n - 1 generators, and no two
+    terms of a wrapped row meet.  The layer-w trees
+    whose first n - 1 kids are p are exactly the (p, t) for t of weight
+    w - 1, and they are one contiguous run of ids in the order of t: the
+    layer is listed lexicographically by kid tuple, and the tuples that
+    share a prefix are consecutive.  So the column of (p, t) is
+    ids[p + (starts[w-1],)] - starts[w] plus the column of t, and a wrapped
+    row is the lower row shifted by that much, negated when n - 1 is odd."""
     lower = graded_component(n, d, w - 1, max_trees)
     ids, start, offset = table.ids, table.starts[w], table.starts[w - 1]
+    sign = -1 if (n - 1) % 2 else 1
     payloads = list(combinations(range(1, d + 1), n - 1))
     for m in targets:
         for payload in payloads:
@@ -451,8 +452,11 @@ def _wrapped_relation_rows(
                 below[g - 1] -= 1
             if min(below) < 0:
                 continue
-            for relation in lower.block_rows(tuple(below)):
-                yield m, _wrapped_row(relation, offset, payload, ids, start)
+            relations = lower.block_rows(tuple(below))
+            if relations:
+                shift = ids[payload + (offset,)] - start
+                for relation in relations:
+                    yield m, {shift + col: sign * x for col, x in relation.items()}
 
 
 def _relation_rows(
@@ -661,7 +665,7 @@ def graded_component(
         builder = builders.get(m)
         if builder is None:
             builder = builders[m] = SpanBuilder(width)
-        builder.insert(row)
+        builder.insert(row, owned=True)
     component = GradedComponent.build(n, d, w, table, builders)
     _COMPONENT_CACHE[key] = component
     return component

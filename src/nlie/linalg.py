@@ -170,17 +170,22 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec: VectorLike) -> bool:
+    def insert(self, vec: VectorLike, owned: bool = False) -> bool:
         """Add ``vec`` to the span; True iff the dimension grew.  Only the
         leading column of ``vec`` is cleared, again and again, until it is
-        no row's first column; what is left is stored, made primitive."""
+        no row's first column; what is left is stored, made primitive.
+
+        ``vec`` itself is left as it is, unless ``owned`` is true: then it
+        must be a sparse integer dict with no zero entry and every column
+        in range(ambient), and the builder takes it over with no copy or
+        check, clearing it in place and maybe storing it."""
         rows = self.rows
-        v, _ = _integral(vec)
+        v = vec if owned else _integral(vec)[0]
         while v and (p := min(v)) in rows:
             _clear(v, p, rows[p])
         if not v:
             return False
-        if p < 0 or max(v) >= self.ambient:
+        if not owned and (p < 0 or max(v) >= self.ambient):
             raise AmbientMismatchError(
                 f"coordinates {p}..{max(v)} not all in range({self.ambient})"
             )

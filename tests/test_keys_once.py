@@ -58,6 +58,15 @@ def general_wrapped_row(relation, offset, payload, ids, start):
     return row
 
 
+def id_lookup_wrapped_row(relation, offset, payload, ids, start):
+    """A lower relation row (columns = ids - ``offset``) in the first slot
+    of a bracket with the increasing generator tuple ``payload`` in the
+    others, each term's column looked up by its kid tuple: the wrap before
+    wraps were shifted as a whole row."""
+    sign = -1 if len(payload) % 2 else 1
+    return {ids[payload + (offset + col,)] - start: sign * x for col, x in relation.items()}
+
+
 def all_weight_wraps(n, d, w):
     """The wraps the oracle generated before it wrapped only R_{w-1}: the
     block rows of every lower layer R_v, 3 <= v < w, in the first slot of a

@@ -191,9 +191,9 @@ def test_cold_oracle_layers_insert_at_most_1101_rows(monkeypatch):
     inserted = []
     original = SpanBuilder.insert
 
-    def spy(self, vec):
+    def spy(self, vec, owned=False):
         inserted.append(vec)
-        return original(self, vec)
+        return original(self, vec, owned=owned)
 
     monkeypatch.setattr(linalg.SpanBuilder, "insert", spy)
     for layer in ORACLE_LAYERS:
@@ -209,16 +209,18 @@ def test_rows_are_inserted_in_descending_order_of_first_column(monkeypatch):
     seen = {}
     original = SpanBuilder.insert
 
-    def spy(self, vec):
+    def spy(self, vec, owned=False):
         # the builder is kept with its columns, so no id is reused
         _, firsts = seen.setdefault(id(self), (self, []))
-        assert not firsts or min(vec) <= firsts[-1]
+        # an owned row may be cleared in place, so its first column is read first
+        first = min(vec)
+        assert not firsts or first <= firsts[-1]
         stored = len(self.rows)
-        fresh = min(vec) not in self.rows
-        grew = original(self, vec)
+        fresh = first not in self.rows
+        grew = original(self, vec, owned=owned)
         if fresh:
-            assert grew and min(vec) in self.rows and len(self.rows) == stored + 1
-        firsts.append(min(vec))
+            assert grew and first in self.rows and len(self.rows) == stored + 1
+        firsts.append(first)
         return grew
 
     free_algebra.clear_caches()
