@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from .linalg import (
     AmbientMismatchError,
@@ -142,14 +142,28 @@ class StructureAlgebra:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "ValidationReport":
-        """Check the Filippov identity on all sorted basis tuples."""
+        """Check the Filippov identity on all sorted basis tuples a, b, in
+        order, and report the first defect.  The defect of (a, b) is
+
+            [[a], b] - sum_i [a_1, ..., [a_i, b], ..., a_n],
+
+        which is 0 unless some s in a or in the support of [a] has
+        [e_s, e_b] != 0, that is, unless b is a table key with one such s
+        taken out.  Only those b are visited; the pairs skipped are counted
+        in ``checked`` as if visited, so the report is that of the
+        exhaustive loop."""
+        n, dim = self.n, self.dim
+        partners: dict[int, set[tuple[int, ...]]] = {}
+        for key in self.table:
+            for k, s in enumerate(key):
+                partners.setdefault(s, set()).add(key[:k] + key[k + 1 :])
         checked = 0
-        for a in combinations(range(self.dim), self.n):
+        for a in combinations(range(dim), n):
             inner = self.bracket_basis(a)
-            for b in combinations(range(self.dim), self.n - 1):
-                checked += 1
+            reach = set().union(*(partners.get(s, ()) for s in (*a, *inner)))
+            for b in sorted(reach):
                 defect = self.bracket(inner, *map(self._unit, b))
-                for i in range(self.n):
+                for i in range(n):
                     replaced = self.bracket_basis((a[i],) + b)
                     if not replaced:
                         continue
@@ -157,7 +171,8 @@ class StructureAlgebra:
                     args[i] = replaced
                     _axpy(defect, -_F1, self.bracket(*args))
                 if defect:
-                    return ValidationReport(False, checked, (a, b), defect)
+                    return ValidationReport(False, checked + _lex_rank(b, dim) + 1, (a, b), defect)
+            checked += comb(dim, n - 1)
         return ValidationReport(True, checked, None, None)
 
     def _unit(self, i: int) -> dict[int, Fraction]:
@@ -192,12 +207,14 @@ class StructureAlgebra:
         are one scaled copy of each entry (even k) and its negation (odd k),
         shared between maps, so callers must not mutate them.
 
-        Scaling.  Every consumer needs ad(e_J) only up to a positive factor,
-        because a*ad(e_J) sends every vector to a multiple of its image under
-        ad(e_J).  The lower series and the ideal chain take spans of the
-        images (:func:`_ad_images`); :func:`is_ideal` tests membership of the
-        images; and :func:`_central_annihilators` takes spans of the images
-        of forms under the transposed maps, which are scaled by D as well."""
+        Scaling.  Every consumer needs each ad(e_J) only up to a positive
+        factor of its own, because a*ad(e_J) sends every vector to a multiple
+        of its image under ad(e_J).  The lower series and the ideal chain
+        take spans of the images (:func:`_ad_images`); :func:`is_ideal` tests
+        membership of the images; and :func:`_central_annihilators` takes
+        spans of the images of forms under the transposed maps, each scaled
+        like its map.  So the free cover's ``generator_maps`` may scale each
+        map by its own lcm."""
         den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
         ad: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
         for args, row in self.table.items():
@@ -211,7 +228,7 @@ class StructureAlgebra:
     def _lower_series(self) -> tuple[Subspace, ...]:
         chain = [Subspace.full(self.dim)]
         while True:
-            nxt = _ad_images(self, chain[-1].rows.values(), self._ad.values())
+            nxt = _ad_images(self.dim, chain[-1].rows.values(), self._ad.values())
             if nxt == chain[-1]:
                 return tuple(chain)
             chain.append(nxt)
@@ -220,6 +237,18 @@ class StructureAlgebra:
     def _upper_series(self) -> tuple[Subspace, ...]:
         # a tuple missing from _ad brackets everything to zero
         return tuple(_upper_central_series(self, list(self._ad)))
+
+
+def _lex_rank(b: tuple[int, ...], dim: int) -> int:
+    """The position of the increasing tuple ``b`` in
+    ``combinations(range(dim), len(b))``: the tuples before it agree with it
+    up to some slot i and have a smaller entry y there, followed by any
+    len(b) - 1 - i entries above y."""
+    rank, prev = 0, -1
+    for i, x in enumerate(b):
+        rank += sum(comb(dim - 1 - y, len(b) - 1 - i) for y in range(prev + 1, x))
+        prev = x
+    return rank
 
 
 @dataclass(frozen=True)
@@ -288,11 +317,11 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
     return AlgebraSubspace(parent, builder.subspace())
 
 
-def _ad_images(alg: StructureAlgebra, rows: Iterable[dict], maps: Collection[dict]) -> Subspace:
+def _ad_images(dim: int, rows: Iterable[dict], maps: Collection[dict]) -> Subspace:
     """The span of the ad(e_J)(v) = [v, e_J] for v in ``rows`` and the maps
-    ad(e_J) of ``alg._ad`` in ``maps``: sparse integer matrix-vector
-    products, with no argument sorting, and with no Fractions when ``rows``
-    are integer rows.
+    ad(e_J) in ``maps`` (as in ``StructureAlgebra._ad``) of an algebra of
+    dimension ``dim``: sparse integer matrix-vector products, with no
+    argument sorting, and with no Fractions when ``rows`` are integer rows.
 
     With every map and a basis of a subspace S this is [S, L, ..., L], by
     multilinearity and antisymmetry.  With the maps of the (n-1)-subsets of
@@ -333,10 +362,10 @@ def _ad_images(alg: StructureAlgebra, rows: Iterable[dict], maps: Collection[dic
             induction, and V is an ideal by (i) and (ii).
       (iv)  The inner bracket lies in Z by induction, and Z is an ideal.
 
-    The maps are scaled by a positive constant (see ``StructureAlgebra._ad``),
-    which changes no span.
+    Each map may be scaled by its own positive constant (see
+    ``StructureAlgebra._ad``), which changes no span.
     """
-    builder = SpanBuilder(alg.dim)
+    builder = SpanBuilder(dim)
     for vec in rows:
         for ad in maps:
             if image := apply_rows(vec, ad):
@@ -374,13 +403,13 @@ def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
 
 
 def _central_annihilators(
-    alg: StructureAlgebra, tuples: list[tuple[int, ...]], top: int | None = None,
-    base: Subspace | None = None,
+    dim: int, ads: Iterable[dict], top: int | None = None, base: Subspace | None = None,
 ) -> list[Subspace]:
     """The annihilators A_k of the upper central series modulo the ideal
-    ``base`` (default 0), whose k-th term Z_k is the preimage of
-    Z_k(alg / base): A_0 = ann(base), and A_{k+1} is :func:`_ad_images` of
-    A_k under the transposed maps of ``tuples``.  The chain goes up to the
+    ``base`` (default 0) of an algebra of dimension ``dim``, whose k-th term
+    Z_k is the preimage of Z_k(alg / base): A_0 = ann(base), and A_{k+1} is
+    :func:`_ad_images` of A_k under the transposes of the maps ``ads``
+    (as in ``StructureAlgebra._ad``).  The chain goes up to the
     ``top``-th term if given, or until A_k is 0 or stable.
 
     Lemma.  Z_{k+1} = {x : [x, e_J] in Z_k for every J}.  For a linear map
@@ -389,18 +418,19 @@ def _central_annihilators(
     ann Z_k}.  With all (n-1)-subsets of the basis this is the definition;
     with the (n-1)-subsets of a generating set of basis vectors it is the
     same chain, by part (iv) of the lemma in :func:`_ad_images`.  Scaling
-    the maps by D > 0 (``StructureAlgebra._ad``) changes no span.  On a
-    graded algebra of top weight t, ad(x_J) raises the weight by one, so
-    A_k vanishes from weight t+1-k on by itself."""
-    dim = alg.dim
-    maps: list[dict[int, dict[int, int]]] = [{} for _ in tuples]
-    for t, tup in enumerate(tuples):
-        for i, row in alg._ad.get(tup, {}).items():
+    each map by its own D > 0 (``StructureAlgebra._ad``) changes no span.
+    On a graded algebra of top weight t, ad(x_J) raises the weight by one,
+    so A_k vanishes from weight t+1-k on by itself."""
+    maps: list[dict[int, dict[int, int]]] = []
+    for ad in ads:
+        transposed: dict[int, dict[int, int]] = {}
+        for i, row in ad.items():
             for j, x in row.items():
-                maps[t].setdefault(j, {})[i] = x
+                transposed.setdefault(j, {})[i] = x
+        maps.append(transposed)
     chain = [Subspace.full(dim) if base is None else Subspace.from_vectors(annihilator(base), dim)]
     while chain[-1].dim and (top is None or len(chain) <= top):
-        nxt = _ad_images(alg, chain[-1].rows.values(), maps)
+        nxt = _ad_images(dim, chain[-1].rows.values(), maps)
         if nxt == chain[-1]:
             break
         chain.append(nxt)
@@ -408,8 +438,9 @@ def _central_annihilators(
 
 
 def _upper_central_series(alg: StructureAlgebra, tuples, top=None, base=None) -> list[Subspace]:
-    """The terms Z_k = ann(A_k) of :func:`_central_annihilators`."""
-    chain = _central_annihilators(alg, tuples, top, base)
+    """The terms Z_k = ann(A_k) of :func:`_central_annihilators` for the
+    maps of ``tuples`` (a tuple missing from ``alg._ad`` maps to zero)."""
+    chain = _central_annihilators(alg.dim, [alg._ad.get(t, {}) for t in tuples], top, base)
     return [Subspace.from_vectors(annihilator(a), alg.dim) for a in chain]
 
 

@@ -1,39 +1,34 @@
 """Free n-Lie algebras: graded components and free nilpotent quotients.
 
 The free algebra on d ordered generators is graded by weight (a weight-w
-element has (w-1)(n-1)+1 generator leaves).  Each weight layer is computed
-as the span of canonical bracket trees modulo the span of all generalized
-Jacobi relations of that weight: direct identity instances on canonical
-trees, plus the relations of the weight just below wrapped inside one
-bracket slot with generators in the others (which saturates the
-homogeneous relation ideal; see :func:`_wrapped_relation_rows`).  The
-relations never change the multiset of generator leaves, so a layer is
-eliminated one multidegree block at a time, and only one block per orbit of
-the generator permutations is generated (see :func:`graded_component`).
-The layer dimension computed this way is the rank oracle used everywhere
-else as ground truth for graded dimensions; it is read off the orbit
-representatives, the partitions of the leaf count, and a layer's reduced
-echelon basis is built only when something reads it (see
-:class:`GradedComponent`).
+element has (w-1)(n-1)+1 generator leaves).  Each weight layer is the span
+of canonical bracket trees modulo all generalized Jacobi relations of that
+weight: identity instances on canonical trees, plus the relations of the
+weight below wrapped in one bracket slot with generators in the others
+(see :func:`_wrapped_relation_rows`).  The relations keep the multiset of
+generator leaves, so a layer is eliminated one multidegree block at a time,
+one block per orbit of the generator permutations (see
+:func:`graded_component`).  The layer dimension is the rank oracle used
+everywhere else as ground truth; a layer's reduced echelon basis is built
+only when something reads it (see :class:`GradedComponent`).
 
 Inside the module every canonical tree is an int id.  Per (n, d), one
 :class:`_TreeIds` table, grown weight by weight, numbers the canonical
 trees in the total tree order: generator g is id g, then each weight layer
 follows as one contiguous id range, so a layer column is id - start(w).
-A bracket of canonical trees is then a tuple of ids, and canonicalizing it
-is one flat :func:`canonicalize` of ints and one dict lookup; generator
-relabellings become id -> (sign, id) maps.  Nested tuples appear only at
-the boundaries, :func:`canon_trees` and :class:`GradedComponent`, and a
-layer's are built only when one of them reads it.
+A bracket is a tuple of ids, canonicalized by one flat
+:func:`canonicalize` and one dict lookup.  Nested tuples appear only at
+the boundaries, :func:`canon_trees`, :class:`GradedComponent` and
+:class:`FreeNilpotentAlgebra`, built only when one of them reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, combinations_with_replacement, groupby, product, repeat
-from math import comb, factorial, prod
+from itertools import combinations, combinations_with_replacement, count, groupby, product, repeat
+from math import comb, factorial, lcm, prod
 from typing import Callable, Collection, Iterable, Iterator
 
 from .algebra import StructureAlgebra
@@ -58,8 +53,7 @@ def _leaves(n: int, w: int) -> int:
 
 def _key_base(n: int, w: int) -> int:
     """Digit base of the multidegree keys up to weight w: one more than the
-    number of leaves of a weight-w tree, so no digit of a tree of weight
-    <= w overflows."""
+    number of leaves of a weight-w tree, so no digit overflows."""
     return _leaves(n, w) + 1
 
 
@@ -82,9 +76,7 @@ class _TreeIds:
     * ``layer(w)`` gives the weight-w trees as nested tuples, built on first
       read (with every layer below) and kept;
     * ``multidegrees(w)`` gives the leaf multidegree keys of the trees of
-      weight below w, encoded a layer at a time as a caller first reads
-      them, so a layer nobody wraps or brackets below the top is never
-      keyed.
+      weight below w, each layer keyed when a caller first reads it.
 
     A canonical tree of weight w is a strictly increasing tuple of n
     canonical trees of weights summing to w + n - 2, and the tree order
@@ -93,8 +85,7 @@ class _TreeIds:
     """
 
     def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
+        self.n, self.d = n, d
         self.ids: dict[tuple[int, ...], int] = {}
         self.kids: list[tuple[int, ...]] = [()] * (d + 1)
         self.starts = [0, 1, d + 1]
@@ -139,14 +130,12 @@ class _TreeIds:
     def multidegrees(self, w: int) -> tuple[list[int], int]:
         """``(keys, base)`` for a table grown to weight w or more: keys[i] is
         the leaf multidegree (m_1, ..., m_d) of tree i encoded as the int
-        sum_g m_g * base**(g-1), for every tree of weight below w (the
-        keys of weight w and above are not read, and not made).  A
+        sum_g m_g * base**(g-1), for every tree of weight below w; a
         bracket's key is the sum of its kids'.  The base is fixed at the
         first read so that no multidegree up to the table's top weight
-        then overflows; a layer is keyed once in that base, and everything
-        is keyed again only if a table grown later is read past it.  A
-        cold :func:`graded_component` and :func:`free_nilpotent` grow the
-        table to their top weight first, so they never key a tree twice."""
+        overflows, and everything is keyed again only if a table grown
+        later is read past it.  A cold :func:`graded_component` and
+        :func:`free_nilpotent` grow the table first, so never key twice."""
         if _key_base(self.n, w) > self._base:
             base = self._base = _key_base(self.n, self.top)
             self._keys = [0] + [base**g for g in range(self.d)]
@@ -163,9 +152,7 @@ def _tree_ids(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES)
         raise ValueError("arity must be at least 2")
     if d < 0 or w < 1:
         raise ValueError("need d >= 0 and w >= 1")
-    table = _TREE_IDS.get((n, d))
-    if table is None:
-        table = _TREE_IDS[(n, d)] = _TreeIds(n, d)
+    table = _TREE_IDS.get((n, d)) or _TREE_IDS.setdefault((n, d), _TreeIds(n, d))
     while table.top < w:
         table.add_layer(max_trees)
     return table
@@ -180,7 +167,7 @@ def canon_trees(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREE
 def _run_groups(runs: dict[int, range], slots: int, total: int) -> Iterator[list[tuple[range, int]]]:
     """For each nondecreasing sequence of ``slots`` weights of ``runs``
     (ascending keys) summing to ``total``: the run of each distinct weight
-    in it with the number of times it is used, by ascending weight."""
+    in it with its number of uses, by ascending weight."""
     for seq in combinations_with_replacement(runs, slots):
         if sum(seq) == total:
             yield [(runs[v], len(list(group))) for v, group in groupby(seq)]
@@ -203,20 +190,17 @@ def _increasing_tuples(runs: dict[int, range], slots: int, total: int) -> list[t
 class GradedComponent:
     """One weight layer of the free n-Lie algebra on d generators.
 
-    The relation span R_w is kept as integer rows per multidegree block,
-    keyed by the multidegree (m_1, ..., m_d): the builder's semi-echelon
-    rows for each orbit representative (a partition of the leaf count,
-    padded with zeros) that has relations, and for every other block the
-    representative's rows relabelled (:func:`_orbit_move`) when
-    :meth:`block_rows` first asks for them, then kept here.  Each block's
-    rows are a basis of its part of R_w, so ``rank`` is the sum over the
-    representatives of their rank times their number of rearrangements
-    (``width`` comes from the table's ``starts``).  The blocks with
-    relations (``block_keys``: the distinct rearrangements of those
-    representatives), R_w as a :class:`Subspace` (``relations``), the
-    layer basis (``basis_indices``, ``basis_position``), the tree index and
-    the nested ``trees`` (kept on the table) are built on first read;
-    dimension-only callers build none of them.
+    The relation span R_w is kept as integer rows per multidegree block
+    (m_1, ..., m_d): the builder's semi-echelon rows for each orbit
+    representative (a zero-padded partition of the leaf count) that has
+    relations, and for every other block the representative's rows
+    relabelled (:func:`_orbit_move`) when :meth:`block_rows` first asks,
+    then kept.  Each block's rows are a basis of its part of R_w, so
+    ``rank`` is the sum over the representatives of their rank times their
+    number of rearrangements.  ``block_keys``, R_w as a :class:`Subspace`
+    (``relations``), the layer basis (``basis_indices``,
+    ``basis_position``), the tree index and the nested ``trees`` are built
+    on first read; dimension-only callers build none of them.
     """
 
     def __init__(
@@ -233,8 +217,7 @@ class GradedComponent:
     def build(
         n: int, d: int, w: int, table: "_TreeIds", builders: dict[tuple[int, ...], SpanBuilder],
     ) -> "GradedComponent":
-        """The component of a layer from the builders of its orbit
-        representatives (keyed by multidegree)."""
+        """The component of a layer from its orbit representatives' builders."""
         return GradedComponent(n, d, w, table, {r: [*b.rows.values()] for r, b in builders.items()})
 
     @property
@@ -254,13 +237,11 @@ class GradedComponent:
         rows = self._blocks.get(m)
         if rows is None:
             rep, perm = _orbit_move(m)
-            rows = self._blocks.get(rep)
-            if rows is None:
+            if rep not in self._blocks:
                 return []
             table = self._table
-            rows = self._blocks[m] = _transported(
-                rows, _relabelling(table, perm), table.starts[self.w]
-            )
+            relabel = _relabelling(table, perm)
+            rows = self._blocks[m] = _transported(self._blocks[rep], relabel, table.starts[self.w])
         return rows
 
     @cached_property
@@ -290,12 +271,10 @@ class GradedComponent:
 
     @property
     def basis_trees(self) -> tuple[Tree, ...]:
-        trees = self.trees
-        return tuple(trees[i] for i in self.basis_indices)
+        return tuple(map(self.trees.__getitem__, self.basis_indices))
 
     def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Residue of a coordinate vector modulo the relation span; supported
-        on the non-pivot (basis) coordinates."""
+        """Residue of a vector modulo R_w, on the basis coordinates."""
         return self.relations.reduce(vec)
 
     def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -343,14 +322,12 @@ def _identity_instance_rows(
     generated only when ss[-1] > ts[-1] or ss[0] > ts[1], one per span
     class; for n >= 4 every pair is.
 
-    For n = 2 that is one instance per set of three trees: the one with
-    ts = (a, b) and ss = (c,) for a < b < c.  The row of
-    ts = (t1, t2), ss = (s) is C(t1, t2, s) = [[t1,t2],s] + [[t2,s],t1] +
-    [[s,t1],t2].  A cyclic shift of the arguments permutes its terms, and
-    swapping t1 and t2 negates every term while trading the last two, so C
-    is alternating in its three arguments: the instances on {a, b, c} are
-    all +-C(a, b, c).  A repeated tree makes the row 0, and such rows are
-    dropped anyway.
+    For n = 2 that is one instance per set of three trees a < b < c: the
+    one with ts = (a, b) and ss = (c,).  The row of ts = (t1, t2), ss = (s)
+    is C(t1, t2, s) = [[t1,t2],s] + [[t2,s],t1] + [[s,t1],t2].  A cyclic
+    shift of the arguments permutes its terms, and swapping t1 and t2
+    negates every term while trading the last two, so C is alternating:
+    the instances on {a, b, c} are all +-C(a, b, c) (0 on a repeat).
 
     For n = 3, with ts = (t1, t2, t3) and ss = (s1, s2), the instances
     split by how many trees ts and ss share:
@@ -429,18 +406,14 @@ def _wrapped_relation_rows(
     payloads z_j, so it is a wrap at weight w with w - v' < w - v, and lies
     in the span by induction.
 
-    Shift lemma.  A wrapped row needs no canonicalizing and no lookup per
-    entry.  Generators come first in the tree order, so for a tree t of
-    weight w - 1 (a bracket: R_{w-1} has rows only for w - 1 >= 3) the
-    bracket [t, p_1, ..., p_{n-1}] is the canonical tree (p, t), with the
-    sign (-1)^(n-1) of moving t past the n - 1 generators, and no two
-    terms of a wrapped row meet.  The layer-w trees
-    whose first n - 1 kids are p are exactly the (p, t) for t of weight
-    w - 1, and they are one contiguous run of ids in the order of t: the
-    layer is listed lexicographically by kid tuple, and the tuples that
-    share a prefix are consecutive.  So the column of (p, t) is
-    ids[p + (starts[w-1],)] - starts[w] plus the column of t, and a wrapped
-    row is the lower row shifted by that much, negated when n - 1 is odd."""
+    Shift lemma.  Generators come first in the tree order, so for a tree t
+    of weight w - 1 >= 2 the bracket [t, p_1, ..., p_{n-1}] is the
+    canonical tree (p, t), with the sign (-1)^(n-1) of moving t past the
+    n - 1 generators.  The layer is listed lexicographically by kid tuple,
+    so the (p, t) for t of weight w - 1 are one contiguous run of ids in
+    the order of t, and the column of (p, t) is ids[p + (starts[w-1],)] -
+    starts[w] plus the column of t: a wrapped row is the lower row shifted
+    by that much, negated when n - 1 is odd, with no lookup per entry."""
     lower = graded_component(n, d, w - 1, max_trees)
     ids, start, offset = table.ids, table.starts[w], table.starts[w - 1]
     sign = -1 if (n - 1) % 2 else 1
@@ -490,8 +463,7 @@ def filippov_relations(
 def _relabelling(table: _TreeIds, perm: tuple[int, ...]) -> Callable[[int], tuple[int, int]]:
     """The generator relabelling g -> perm[g] on interned trees, as a map
     id -> (sign, id) of the canonical image, filled lazily by
-    :func:`_relabelled`.  A partial of a module-level function, so the map
-    makes no reference cycle."""
+    :func:`_relabelled` (a partial, so the map makes no reference cycle)."""
     image = {g: (1, perm[g]) for g in range(1, len(perm))}
     return partial(_relabelled, table.kids, table.ids, image)
 
@@ -504,8 +476,7 @@ def _relabelled(
     tuple of its kids' images."""
     hit = image.get(tree)
     if hit is None:
-        sign = 1
-        moved = []
+        sign, moved = 1, []
         for kid in kids[tree]:
             s, j = _relabelled(kids, ids, image, kid)
             sign *= s
@@ -553,9 +524,8 @@ def _partitions(total: int, parts: int, top: int | None = None) -> list[tuple[in
         return [] if total else [()]
     top = total if top is None else min(top, total)
     least = -(-total // parts)  # the first part is at least the mean
-    return [
-        (x,) + rest for x in range(top, least - 1, -1) for rest in _partitions(total - x, parts - 1, x)
-    ]
+    return [(x,) + rest for x in range(top, least - 1, -1)
+            for rest in _partitions(total - x, parts - 1, x)]
 
 
 def _rearrangements(r: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -604,8 +574,8 @@ def graded_component(
     sorted ascending: an instance on pool tuples of the same weights, so
     in the span of the generated instances (see
     :func:`_identity_instance_rows`).  By induction on the weight,
-    sigma R_v = R_v for v < w (there
-    is nothing below weight 3).  A wrapped row [r, p] with r in R_v maps
+    sigma R_v = R_v for v < w (nothing lies below weight 3).  A wrapped
+    row [r, p] with r in R_v maps
     to [sigma r, sigma p] = +-[sigma r, p'] for the sorted canonical
     payload p'; sigma r is a combination of any basis b of R_v, so this is
     a combination of the generated rows [b, p'].  So sigma maps a spanning
@@ -621,33 +591,23 @@ def graded_component(
     rank R_w is the sum over the nonincreasing multidegrees r of
     rank R_w(r) times the size of the S_d orbit of r.
 
-    So rows are generated only for the nonincreasing multidegrees, one
-    per S_d orbit: the partitions of the leaf count (w-1)(n-1)+1 into at
-    most d parts, padded with zeros, as the targets of
-    :func:`_relation_rows`, and each is eliminated in its own builder; its
-    semi-echelon integer rows are a basis of that block.  A builder gets
-    its block's rows in descending order of first column, ties in the
-    order they were generated.  The first columns of any semi-echelon
-    basis of a span are the leading columns of its nonzero vectors, so the
-    order changes the stored rows but not their span or rank.  In that
-    order a row whose first column lies left of every stored one is stored
-    with no clearing at all, and only rows that share a first column get
-    cleared.  The blocks with
-    relations are the distinct rearrangements of the representatives
-    whose builder got rows, so no key of a weight-w tree is read: the
-    instances read the keys of their arguments, of weight w - 1 and
-    below, and the wraps read none.  Every
-    other block of the orbit holds the representative's rows relabelled,
-    with no re-reduction (:class:`GradedComponent` does that relabelling
-    on first use).  The next weight wraps these block rows as they are:
+    So rows are generated only for one multidegree per S_d orbit, the
+    zero-padded partitions of the leaf count (w-1)(n-1)+1 into at most d
+    parts, each eliminated in its own builder, whose semi-echelon integer
+    rows are a basis of that block.  A builder gets its rows in descending
+    order of first column, ties in generation order.  The first columns of
+    any semi-echelon basis of a span are the leading columns of its
+    vectors, so the order changes the stored rows but not their span; in
+    it, only rows that share a first column get cleared.  The blocks with
+    relations are the rearrangements of the representatives whose builder
+    got rows, so no key of a weight-w tree is read.  Every other block
+    holds the representative's rows relabelled, with no re-reduction, on
+    first use.  The next weight wraps these block rows as they are:
     wrapping is linear in the lower row, so any basis of R_{w-1} generates
-    the same R_w (see :func:`_wrapped_relation_rows` for why R_{w-1} with
-    generator payloads is enough).  Only the :class:`Subspace` form of R_w
-    needs one more elimination of each block's rows, which back-substitutes
-    them.  The blocks have disjoint columns, so the union of their
-    subspace rows is the subspace form of R_w: the same unique rows one
-    elimination of all generated rows gives (``filippov_relations`` is
-    that route's generator, kept as a test oracle).
+    the same R_w.  Only the :class:`Subspace` form of R_w eliminates each
+    block's rows once more; the blocks have disjoint columns, so the union
+    of their subspace rows is the same unique form one elimination of all
+    generated rows gives (``filippov_relations``, kept as a test oracle).
     """
     key = (n, d, w)
     cached = _COMPONENT_CACHE.get(key)
@@ -666,9 +626,7 @@ def graded_component(
         if builder is None:
             builder = builders[m] = SpanBuilder(width)
         builder.insert(row, owned=True)
-    component = GradedComponent.build(n, d, w, table, builders)
-    _COMPONENT_CACHE[key] = component
-    return component
+    return _COMPONENT_CACHE.setdefault(key, GradedComponent.build(n, d, w, table, builders))
 
 
 def graded_dimension(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX_TREES) -> int:
@@ -679,20 +637,24 @@ def graded_dimension(n: int, d: int, w: int, max_trees: int | None = DEFAULT_MAX
 @dataclass(frozen=True)
 class FreeNilpotentAlgebra:
     """Free nilpotent quotient of the free n-Lie algebra: all layers of
-    weight <= k, with structure constants for the induced bracket."""
+    weight <= k.  Basis vector i is the tree ``basis_ids[i]`` of the id
+    table ``ids``.  The multiplier reads the bracket through
+    ``generator_maps`` and :meth:`brackets_below`; the Fraction table
+    (``algebra``), the nested ``basis_trees`` and the basis names are built
+    only when something reads them."""
 
     n: int
     d: int
     k: int
     components: tuple[GradedComponent, ...]
-    basis_trees: tuple[Tree, ...]
     weights: tuple[int, ...]
     layer_offsets: tuple[int, ...]
-    algebra: StructureAlgebra
+    basis_ids: tuple[int, ...]
+    ids: _TreeIds = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis_trees)
+        return len(self.weights)
 
     def layer_dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.components)
@@ -700,6 +662,73 @@ class FreeNilpotentAlgebra:
     def layer_span(self, w_min: int) -> Subspace:
         """Span of the basis vectors of weight >= w_min."""
         return Subspace(self.dim, {i: {i: 1} for i in range(self.dim) if self.weights[i] >= w_min})
+
+    @cached_property
+    def basis_trees(self) -> tuple[Tree, ...]:
+        return tuple(t for comp in self.components for t in comp.basis_trees)
+
+    @cached_property
+    def basis_names(self) -> tuple[str, ...]:
+        return tuple(map(tree_to_str, self.basis_trees))
+
+    @cached_property
+    def algebra(self) -> StructureAlgebra:
+        return StructureAlgebra(self.n, self.dim, self.basis_names, self.brackets_below(self.dim))
+
+    def _coordinates(self, tree: int, w: int) -> tuple[int, dict[int, int]]:
+        """``(den, row)``: den times the coordinates of the weight-w ``tree``
+        over E's basis.  A ``relations`` row r is 0 at the other pivots, so
+        column p of r has remainder -(r - r_p e_p) / r_p; others are basic."""
+        comp, off = self.components[w - 1], self.layer_offsets[w - 1]
+        col, positions = tree - self.ids.starts[w], comp.basis_position
+        row = comp.relations.rows.get(col)
+        if row is None:
+            return 1, {off + positions[col]: 1}
+        return row[col], {off + positions[j]: -x for j, x in row.items() if j != col}
+
+    def brackets_below(self, low: int) -> dict[tuple[int, ...], dict[int, Fraction]]:
+        """The entries of ``algebra``'s table whose arguments are all among
+        the first ``low`` basis vectors, in the table's order.  A bracket of
+        weights w_1..w_n has weight sum(w_i) - n + 2 <= k, and the basis is
+        ordered by weight, so the index tuples are enumerated under that
+        budget; basis ids ascend with the index, so each is canonical."""
+        n, weights, basis_ids = self.n, self.weights, self.basis_ids
+        runs = {c.w: range(off, min(off + c.dim, low))
+                for c, off in zip(self.components, self.layer_offsets) if c.dim and off < low}
+        tuples = (a for s in range(n, self.k + n - 1) for a in _increasing_tuples(runs, n, s))
+        table: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        for args in sorted(tuples):
+            w = sum(weights[i] for i in args) - n + 2
+            den, row = self._coordinates(self.ids.ids[tuple(basis_ids[i] for i in args)], w)
+            if row:
+                table[args] = {j: Fraction(x, den) for j, x in row.items()}
+        return table
+
+    @cached_property
+    def generator_maps(self) -> dict[tuple[int, ...], dict[int, dict[int, int]]]:
+        """The integer maps D_J ad(x_J) : e_i -> D_J [e_i, x_J], as
+        J -> {i: row}, for every (n-1)-subset J of the generators (basis
+        indices 0..d-1) with a nonzero map, D_J > 0 the lcm of the map's
+        denominators (see ``StructureAlgebra._ad`` on scaling).  For t of
+        weight >= 2, [t, x_J] is the canonical tree J + (t,) times
+        (-1)^(n-1) (the shift lemma of :func:`_wrapped_relation_rows`)."""
+        n, d, ids, sign = self.n, self.d, self.ids.ids, (-1) ** (self.n - 1)
+        below = [(i, t, w) for i, t, w in zip(count(), self.basis_ids, self.weights) if w < self.k]
+        maps = {}
+        for tup in combinations(range(d), n - 1):
+            gens = tuple(g + 1 for g in tup)
+            images = []
+            for i, t, w in below:
+                s, key = canonicalize((t,) + gens) if t <= d else (sign, gens + (t,))
+                if s:
+                    den, row = self._coordinates(ids[key], w + 1)
+                    if row:
+                        images.append((i, s, den, row))
+            if images:
+                top = lcm(*(den for _, _, den, _ in images))
+                maps[tup] = {i: {j: s * x * (top // den) for j, x in row.items()}
+                             for i, s, den, row in images}
+        return maps
 
 
 def free_nilpotent(
@@ -715,48 +744,18 @@ def free_nilpotent(
     # the table grown to k first keys every layer once, in one digit base
     ids = _tree_ids(n, d, k, max_trees)
     components = tuple(graded_component(n, d, w, max_trees) for w in range(1, k + 1))
-    basis_trees: list[Tree] = []
-    weights: list[int] = []
-    offsets: list[int] = []
-    for comp in components:
-        offsets.append(len(basis_trees))
-        basis_trees.extend(comp.basis_trees)
-        weights.extend([comp.w] * comp.dim)
-    dim = len(basis_trees)
-    basis_ids = [ids.starts[comp.w] + i for comp in components for i in comp.basis_indices]
-    table: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    # a bracket of weights w_1..w_n has weight sum(w_i) - n + 2, and only
-    # weights <= k survive; the basis is ordered by weight, so the
-    # admissible index tuples are enumerated under that budget directly
-    runs = {c.w: range(off, off + c.dim) for c, off in zip(components, offsets) if c.dim}
-    admissible = sorted(
-        args for s in range(n, k + n - 1) for args in _increasing_tuples(runs, n, s)
-    )
-    for args in admissible:
-        total = sum(weights[i] for i in args) - n + 2
-        # basis ids ascend with the basis index, so the bracket of an
-        # increasing index tuple is already canonical, with sign +1
-        col = ids.ids[tuple(basis_ids[i] for i in args)] - ids.starts[total]
-        comp = components[total - 1]
-        coords = comp.coordinates({col: 1})
-        if coords:
-            off = offsets[total - 1]
-            table[args] = {off + pos: c for pos, c in coords.items()}
-    names = tuple(tree_to_str(t) for t in basis_trees)
-    algebra = StructureAlgebra(n, dim, names, table)
-    result = FreeNilpotentAlgebra(
-        n, d, k, components, tuple(basis_trees), tuple(weights), tuple(offsets), algebra
-    )
-    _FREE_CACHE[key] = result
-    return result
+    offsets = tuple(sum(c.dim for c in components[:w]) for w in range(k))
+    weights = tuple(c.w for c in components for _ in range(c.dim))
+    basis_ids = tuple(ids.starts[c.w] + i for c in components for i in c.basis_indices)
+    built = FreeNilpotentAlgebra(n, d, k, components, weights, offsets, basis_ids, ids)
+    return _FREE_CACHE.setdefault(key, built)
 
 
 def clear_caches() -> None:
     """Empty every module-level memo of this module: the interned-tree
-    tables (``_TREE_IDS``, with the nested layers they built on read), the
-    graded components (``_COMPONENT_CACHE``) and the free nilpotent
-    quotients (``_FREE_CACHE``).  What a component builds lazily is kept on
-    the component, so it goes with these memos."""
+    tables (``_TREE_IDS``), the graded components (``_COMPONENT_CACHE``) and
+    the free nilpotent quotients (``_FREE_CACHE``).  What a component or a
+    quotient builds lazily is kept on it, so it goes with these memos."""
     _TREE_IDS.clear()
     _COMPONENT_CACHE.clear()
     _FREE_CACHE.clear()

@@ -13,6 +13,9 @@ the c-th centre of E / U, U = gamma_{c+1}(Rbar, E, ..., E).  Z_c is the
 annihilator of a space of forms on E, computed modulo U on the dual, and
 only the images of its basis under phi are spanned; neither Z_c nor a
 quotient algebra is built.  L is c-capable exactly when phi(Z_c) is zero.
+E enters only through its integer generator maps ad(x_J) (which generate
+it) and its table entries below weight m + 1; its full structure table is
+never built here (see ``FreeNilpotentAlgebra``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .algebra import (
@@ -64,7 +66,7 @@ class Presentation:
     free: FreeNilpotentAlgebra
     lifts: tuple[Vector, ...]
     phi: tuple[SparseVector, ...]
-    kernel: AlgebraSubspace
+    kernel: Subspace
 
 
 def present(
@@ -81,9 +83,10 @@ def present(
 
     Only the first ``low`` basis vectors, of weight <= m, are evaluated; phi
     is {} above.  That phi is checked on every table entry with arguments
-    below ``low``; any other entry has an image of weight >= m + 2, where
-    both sides are 0.  So phi is a homomorphism that agrees with the lifts
-    on the weight-1 basis, which generates E: it is the evaluation map.
+    below ``low`` (``free.brackets_below(low)``); any other entry has an
+    image of weight >= m + 2, where both sides are 0.  So phi is a
+    homomorphism that agrees with the lifts on the weight-1 basis, which
+    generates E: it is the evaluation map.
     Rbar is the left kernel of phi[:low] plus the unit rows from ``low`` on,
     in the unique row form.
     """
@@ -106,14 +109,16 @@ def present(
             raise ValueError("lift vectors do not project onto a basis modulo the derived subalgebra")
     free = free_nilpotent(algebra.n, d, max(m + c + extra_class, 1), max_trees)
     low = sum(w <= m for w in free.weights)
-    values = _evaluate_basis(algebra, free.basis_trees[:low], lifts)
+    # the basis trees of weight <= m only: E's nested basis is never built
+    trees = [t for layer in free.components[:m] for t in layer.basis_trees]
+    values = _evaluate_basis(algebra, trees, lifts)
     below = left_kernel(values, algebra.dim).rows
     if low - len(below) != algebra.dim:
         raise AssertionError("presentation map is not surjective")
     phi = values + ({},) * (free.dim - low)
     _check_homomorphism(algebra, free, phi, low)
     kernel = Subspace(free.dim, {**below, **{i: {i: 1} for i in range(low, free.dim)}})
-    return Presentation(algebra, c, m, free, lifts, phi, AlgebraSubspace(free.algebra, kernel))
+    return Presentation(algebra, c, m, free, lifts, phi, kernel)
 
 
 def _evaluate_basis(
@@ -141,21 +146,14 @@ def _check_homomorphism(
     :func:`present` for the rest).  Tuples whose E-bracket is zero are not
     checked: there phi of the bracket is zero, and the bracket of the
     images in L is not evaluated."""
-    for args, image in free.algebra.table.items():
-        if args[-1] < low:
-            lhs = apply_rows(image, phi)
-            rhs = algebra.bracket(*[phi[i] for i in args])
-            if lhs != rhs:
-                raise AssertionError(f"bracket not respected on basis tuple {args}")
+    for args, image in free.brackets_below(low).items():
+        lhs = apply_rows(image, phi)
+        rhs = algebra.bracket(*[phi[i] for i in args])
+        if lhs != rhs:
+            raise AssertionError(f"bracket not respected on basis tuple {args}")
 
 
-def _generator_tuples(p: Presentation) -> list[tuple[int, ...]]:
-    """The (n-1)-subsets of the weight-1 basis indices 0..d-1 of E, which
-    generate E."""
-    return list(combinations(range(p.free.d), p.free.n - 1))
-
-
-def gamma_ideal_chain(p: Presentation) -> list[AlgebraSubspace]:
+def gamma_ideal_chain(p: Presentation) -> list[Subspace]:
     """The chain U_1 = Rbar, U_{j+1} = [U_j, E, ..., E], up to U_{c+1}.
 
     Lemma.  With m the class of L, U_j = gamma_{m+j}(E) + W_j, W_j spanned
@@ -172,16 +170,15 @@ def gamma_ideal_chain(p: Presentation) -> list[AlgebraSubspace]:
     there on complete U_{j+1} in the unique row form.  Nothing here uses
     the grading of L or homogeneous lifts.
     """
-    free_alg = p.free.algebra
-    maps = [free_alg._ad[tup] for tup in _generator_tuples(p) if tup in free_alg._ad]
+    maps = p.free.generator_maps.values()
     chain = [p.kernel]
     low = sum(w <= p.nil_class for w in p.free.weights)
-    rows = [row for q, row in p.kernel.space.rows.items() if q < low]
+    rows = [row for q, row in p.kernel.rows.items() if q < low]
     for j in range(1, p.c + 1):
-        below = _ad_images(free_alg, rows, maps).rows
+        below = _ad_images(p.free.dim, rows, maps).rows
         rows = below.values()
         units = {i: {i: 1} for i, w in enumerate(p.free.weights) if w > p.nil_class + j}
-        chain.append(AlgebraSubspace(free_alg, Subspace(p.free.dim, {**below, **units})))
+        chain.append(Subspace(p.free.dim, {**below, **units}))
     return chain
 
 
@@ -224,7 +221,7 @@ def _gamma_cap_kernel(p: Presentation) -> Subspace:
     combination of them vanishes before that coordinate only if each row in
     it does: the rows with a pivot there are a basis of the intersection."""
     first = sum(w <= p.c for w in p.free.weights)
-    return Subspace(p.free.dim, {q: r for q, r in p.kernel.space.rows.items() if q >= first})
+    return Subspace(p.free.dim, {q: r for q, r in p.kernel.rows.items() if q >= first})
 
 
 _ANALYSIS_CACHE: dict[tuple, tuple[MultiplierReport, Subspace]] = {}
@@ -245,12 +242,12 @@ def _analyze(
     p = present(algebra, c, lifts, extra_class, max_trees)
     bottom = gamma_ideal_chain(p)[-1]
     numerator = _gamma_cap_kernel(p)
-    if not numerator.contains_subspace(bottom.space):
+    if not numerator.contains_subspace(bottom):
         raise AssertionError("denominator escaped the numerator subspace")
     # bottom is closed under every ad(x_J), hence an ideal, and it lies in
     # Rbar = ker phi, so phi maps the preimage of Z_c(E / bottom), the
     # annihilator of the last form space, onto the star centre
-    forms = _central_annihilators(p.free.algebra, _generator_tuples(p), c, bottom.space)[-1]
+    forms = _central_annihilators(p.free.dim, p.free.generator_maps.values(), c, bottom)[-1]
     star = Subspace.from_vectors([apply_rows(z, p.phi) for z in annihilator(forms)], algebra.dim)
     report = MultiplierReport(
         c=c,
@@ -261,7 +258,7 @@ def _analyze(
         gamma_dim=sum(w > c for w in p.free.weights),
         gamma_cap_kernel_dim=numerator.dim,
         chain_dim=bottom.dim,
-        multiplier_dim=numerator.dim - bottom.space.dim,
+        multiplier_dim=numerator.dim - bottom.dim,
         zstar_dim=star.dim,
         capable=star.dim == 0,
     )

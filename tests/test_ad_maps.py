@@ -179,7 +179,7 @@ def test_closure_and_ideal_test_match_bracket_loops(alg):
         assert got == _closure_reference(alg, start, all_tuples)
         # the closure is an ideal (part (ii) of the lemma), and on an ideal
         # one application of the maps is already closed (part (i))
-        once = _ad_images(alg, got.rows.values(), alg._ad.values())
+        once = _ad_images(alg.dim, got.rows.values(), alg._ad.values())
         assert once == _ad_closure(alg, got.rows.values(), all_tuples)
         # a random line usually is not an ideal, and the two tests must
         # agree on it as well
@@ -206,11 +206,11 @@ def test_closure_matches_bracket_loop_on_lift_kernels(label, c, seed):
     free_alg = p.free.algebra
     generators = list(combinations(range(p.free.d), free_alg.n - 1))
     chain = gamma_ideal_chain(p)
-    reference = [p.kernel.space]
+    reference = [p.kernel]
     for _ in range(c):
         reference.append(_closure_reference(free_alg, reference[-1].basis, generators))
-    assert [u.space for u in chain] == reference
-    quotient, _ = _quotient(free_alg, chain[-1].space)
+    assert chain == reference
+    quotient, _ = _quotient(free_alg, chain[-1])
     assert _upper_central_series(quotient, generators) == _upper_reference(
         quotient, generators
     )

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from nlie.algebra import (
+    AlgebraSubspace,
     NotNilpotentError,
     StructureAlgebra,
     _ad_images,
@@ -35,7 +36,6 @@ from nlie.multiplier import (
     _check_homomorphism,
     _evaluate_basis,
     _gamma_cap_kernel,
-    _generator_tuples,
     gamma_ideal_chain,
     heisenberg_multiplier_dim,
     is_capable,
@@ -53,21 +53,21 @@ def test_present_abelian():
     p = present(abelian(3, 2), 1)
     assert p.free.dim == 3 + 3  # generators + weight-2 layer
     # kernel is exactly the bracket layers
-    assert p.kernel.space == p.free.layer_span(2)
+    assert p.kernel == p.free.layer_span(2)
 
 
 def test_present_heisenberg():
     p = present(heisenberg(2, 1), 1)
     assert p.free.dim == 5
     assert p.kernel.dim == 2
-    assert p.kernel.space == p.free.layer_span(3)
+    assert p.kernel == p.free.layer_span(3)
 
 
 def test_present_free_quotient_is_isomorphism_below_kernel():
     built = free_nilpotent(2, 2, 2)
     p = present(built.algebra, 1)
     # the cover restricted to weights <= 2 reproduces the algebra itself
-    assert p.kernel.space == p.free.layer_span(3)
+    assert p.kernel == p.free.layer_span(3)
     for i in range(built.dim):
         assert p.phi[i] == {i: Fraction(1)}
 
@@ -119,14 +119,14 @@ def test_gamma_chain_examples():
     # minimal (class m+c) cover of an abelian algebra: the chain bottoms out
     p = present(abelian(2, 2), 1)
     chain = gamma_ideal_chain(p)
-    assert chain[0].space == p.free.layer_span(2)
+    assert chain[0] == p.free.layer_span(2)
     assert chain[1].dim == 0
 
     # one class higher, the chain drop is the whole weight-3 layer
     p = present(abelian(2, 2), 1, extra_class=1)
     chain = gamma_ideal_chain(p)
-    assert chain[0].space == p.free.layer_span(2)
-    assert chain[1].space == p.free.layer_span(3)
+    assert chain[0] == p.free.layer_span(2)
+    assert chain[1] == p.free.layer_span(3)
     assert chain[1].dim == graded_dimension(2, 2, 3)
 
     p = present(heisenberg(2, 1), 1)
@@ -139,8 +139,8 @@ def test_chain_contained_in_gamma():
         p = present(alg, c)
         chain = gamma_ideal_chain(p)
         top = gamma_term(p.free.algebra, c + 1)
-        assert top.space.contains_subspace(chain[-1].space)
-        assert p.kernel.space.contains_subspace(chain[-1].space)
+        assert top.space.contains_subspace(chain[-1])
+        assert p.kernel.contains_subspace(chain[-1])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -230,13 +230,13 @@ def _cross_check_generator_routes(alg, c, lifts=None):
     free_alg = p.free.algebra
     full = free_alg.full_subspace()
     chain = gamma_ideal_chain(p)
-    exhaustive = [p.kernel]
+    exhaustive = [AlgebraSubspace(free_alg, p.kernel)]
     for _ in range(c):
         exhaustive.append(bracket_product(exhaustive[-1], *([full] * (free_alg.n - 1))))
-    assert [u.space for u in chain] == [u.space for u in exhaustive]
+    assert chain == [u.space for u in exhaustive]
     assert p.free.layer_span(c + 1) == gamma_term(free_alg, c + 1).space
-    assert is_ideal(free_alg, chain[-1])
-    quotient, _ = quotient_algebra(free_alg, chain[-1])
+    assert is_ideal(free_alg, AlgebraSubspace(free_alg, chain[-1]))
+    quotient, _ = quotient_algebra(free_alg, AlgebraSubspace(free_alg, chain[-1]))
     tuples = list(combinations(range(p.free.d), free_alg.n - 1))
     assert _upper_central_series(quotient, tuples) == [
         z.space for z in upper_central_series(quotient)
@@ -266,7 +266,7 @@ def test_numerator_filter_matches_intersection(alg, c, lifted):
     """gamma_{c+1}(E) /\\ Rbar read off Rbar's rows against the Zassenhaus
     intersection it replaced, with default and with seeded random lifts."""
     p = present(alg, c, random_lifts(alg, 7 * c) if lifted else None)
-    want = subspace_intersect(p.free.layer_span(c + 1), p.kernel.space)
+    want = subspace_intersect(p.free.layer_span(c + 1), p.kernel)
     assert _gamma_cap_kernel(p) == want
 
 
@@ -296,14 +296,20 @@ def test_homomorphism_check_covers_every_table_entry(monkeypatch):
         _check_homomorphism(p.algebra, p.free, tuple(phi), low)
 
 
+def _generator_tuples(p):
+    """The (n-1)-subsets of the weight-1 basis indices 0..d-1 of E, which
+    generate E."""
+    return list(combinations(range(p.free.d), p.free.n - 1))
+
+
 def _full_row_chain(p):
     """The ideal chain that applies the generator maps to every row of U_j,
     which the chain on the rows below gamma_{m+j}(E) replaced."""
     free_alg = p.free.algebra
     maps = [free_alg._ad[tup] for tup in _generator_tuples(p) if tup in free_alg._ad]
-    chain = [p.kernel.space]
+    chain = [p.kernel]
     for _ in range(p.c):
-        chain.append(_ad_images(free_alg, chain[-1].rows.values(), maps))
+        chain.append(_ad_images(free_alg.dim, chain[-1].rows.values(), maps))
     return chain
 
 
@@ -352,10 +358,10 @@ def _cross_check_below_class(alg, c, lifts=None):
     _check_homomorphism(alg, free, phi, free.dim)
     low = sum(w <= p.nil_class for w in free.weights)
     assert p.phi == phi[:low] + ({},) * (free.dim - low)
-    assert p.kernel.space == left_kernel(phi, alg.dim)
+    assert p.kernel == left_kernel(phi, alg.dim)
     chain = gamma_ideal_chain(p)
-    assert [u.space for u in chain] == _full_row_chain(p)
-    bottom = chain[-1].space
+    assert chain == _full_row_chain(p)
+    bottom = chain[-1]
     quotient, comp = _quotient(free.algebra, bottom)
     tuples = _generator_tuples(p)
     lifted = [_lifted(z, comp, bottom) for z in _upper_reference(quotient, tuples)]
