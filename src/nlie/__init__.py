@@ -2,7 +2,6 @@
 
 from .algebra import (
     AlgebraFormatError,
-    AlgebraSubspace,
     NotNilpotentError,
     StructureAlgebra,
     abelian,
@@ -46,7 +45,6 @@ from .linalg import (
     Subspace,
     quotient_dim,
     subspace_intersect,
-    subspace_member,
     subspace_sum,
 )
 from .multiplier import (

@@ -178,22 +178,9 @@ class StructureAlgebra:
     def _unit(self, i: int) -> dict[int, Fraction]:
         return {i: _F1}
 
-    # -- subspaces ----------------------------------------------------------
-
-    def subspace(self, vectors) -> "AlgebraSubspace":
-        return AlgebraSubspace(self, Subspace.from_vectors(vectors, self.dim))
-
-    def zero_subspace(self) -> "AlgebraSubspace":
-        return AlgebraSubspace(self, Subspace.zero(self.dim))
-
-    def full_subspace(self) -> "AlgebraSubspace":
-        return AlgebraSubspace(self, Subspace.full(self.dim))
-
     # -- central series -----------------------------------------------------
     # Each is computed at most once per instance: the algebra hashes by
-    # content, so it is never mutated after construction.  The series are
-    # kept as plain subspaces: an AlgebraSubspace refers back to its
-    # algebra, so keeping one here would make a reference cycle.
+    # content, so it is never mutated after construction.
 
     @cached_property
     def _ad(self) -> dict[tuple[int, ...], dict[int, dict[int, int]]]:
@@ -259,51 +246,33 @@ class ValidationReport:
     defect: dict[int, Fraction] | None
 
 
-@dataclass(frozen=True)
-class AlgebraSubspace:
-    """A subspace of a fixed algebra's coordinate space."""
-
-    parent: StructureAlgebra
-    space: Subspace
-
-    def __post_init__(self):
-        if self.space.ambient_dim != self.parent.dim:
-            raise AmbientMismatchError("subspace ambient differs from algebra dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
+def _require_ambient(alg: StructureAlgebra, *subs: Subspace) -> None:
+    if any(s.ambient_dim != alg.dim for s in subs):
+        raise AmbientMismatchError("subspace ambient differs from algebra dimension")
 
 
-def _require_common_parent(subs: tuple[AlgebraSubspace, ...]) -> StructureAlgebra:
-    parent = subs[0].parent
-    for s in subs[1:]:
-        if s.parent is not parent and s.parent != parent:
-            raise ValueError("subspaces belong to different algebras")
-    return parent
-
-
-def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
-    """Span of all brackets with one basis vector chosen from each factor.
+def bracket_product(alg: StructureAlgebra, *factors: Subspace) -> Subspace:
+    """Span of all brackets in ``alg`` with one basis vector chosen from
+    each factor.
 
     Factors equal as subspaces are grouped so that only strictly increasing
     choices within a group are expanded (the skipped ones repeat a vector or
     differ by a sign, so the span is unchanged).
     """
-    parent = _require_common_parent(factors)
-    if len(factors) != parent.n:
-        raise ValueError(f"bracket_product takes {parent.n} factors")
+    _require_ambient(alg, *factors)
+    if len(factors) != alg.n:
+        raise ValueError(f"bracket_product takes {alg.n} factors")
     if any(f.dim == 0 for f in factors):
-        return parent.zero_subspace()
+        return Subspace.zero(alg.dim)
     groups: list[tuple[Subspace, int]] = []
     for f in factors:
         for g, (space, count) in enumerate(groups):
-            if space == f.space:
+            if space == f:
                 groups[g] = (space, count + 1)
                 break
         else:
-            groups.append((f.space, 1))
-    builder = SpanBuilder(parent.dim)
+            groups.append((f, 1))
+    builder = SpanBuilder(alg.dim)
     choice_sets = [
         list(combinations(space.rows.values(), count)) for space, count in groups
     ]
@@ -311,10 +280,10 @@ def bracket_product(*factors: AlgebraSubspace) -> AlgebraSubspace:
         rows: list[SparseVector] = []
         for pick in picks:
             rows.extend(pick)
-        builder.insert(parent.bracket(*rows))
-        if builder.dim == parent.dim:
+        builder.insert(alg.bracket(*rows))
+        if builder.dim == alg.dim:
             break
-    return AlgebraSubspace(parent, builder.subspace())
+    return builder.subspace()
 
 
 def _ad_images(dim: int, rows: Iterable[dict], maps: Collection[dict]) -> Subspace:
@@ -373,10 +342,10 @@ def _ad_images(dim: int, rows: Iterable[dict], maps: Collection[dict]) -> Subspa
     return builder.subspace()
 
 
-def lower_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
+def lower_central_series(alg: StructureAlgebra) -> list[Subspace]:
     """Descending chain: the whole algebra, then iterated bracket products
     with the whole algebra, up to and including the first stable term."""
-    return [AlgebraSubspace(alg, space) for space in alg._lower_series]
+    return list(alg._lower_series)
 
 
 def nilpotency_class(alg: StructureAlgebra) -> int | None:
@@ -387,19 +356,19 @@ def nilpotency_class(alg: StructureAlgebra) -> int | None:
     return len(chain) - 1
 
 
-def gamma_term(alg: StructureAlgebra, k: int) -> AlgebraSubspace:
+def gamma_term(alg: StructureAlgebra, k: int) -> Subspace:
     """k-th term of the lower central series (k >= 1), with the stable tail
     extended indefinitely."""
     if k < 1:
         raise ValueError("lower central series starts at index 1")
     chain = alg._lower_series
-    return AlgebraSubspace(alg, chain[min(k - 1, len(chain) - 1)])
+    return chain[min(k - 1, len(chain) - 1)]
 
 
-def upper_central_series(alg: StructureAlgebra) -> list[AlgebraSubspace]:
+def upper_central_series(alg: StructureAlgebra) -> list[Subspace]:
     """Ascending chain from zero, each step the full preimage of the center
     of the quotient, up to and including the first stable term."""
-    return [AlgebraSubspace(alg, space) for space in alg._upper_series]
+    return list(alg._upper_series)
 
 
 def _central_annihilators(
@@ -444,12 +413,12 @@ def _upper_central_series(alg: StructureAlgebra, tuples, top=None, base=None) ->
     return [Subspace.from_vectors(annihilator(a), alg.dim) for a in chain]
 
 
-def z_term(alg: StructureAlgebra, c: int) -> AlgebraSubspace:
+def z_term(alg: StructureAlgebra, c: int) -> Subspace:
     """c-th term of the upper central series (c >= 0), stable tail extended."""
     if c < 0:
         raise ValueError("upper central series starts at index 0")
     chain = alg._upper_series
-    return AlgebraSubspace(alg, chain[min(c, len(chain) - 1)])
+    return chain[min(c, len(chain) - 1)]
 
 
 def minimal_generators(alg: StructureAlgebra) -> int:
@@ -461,14 +430,11 @@ def minimal_generators(alg: StructureAlgebra) -> int:
     return alg.dim - gamma2.dim
 
 
-def is_ideal(alg: StructureAlgebra, sub: AlgebraSubspace) -> bool:
-    if sub.parent != alg:
-        raise ValueError("subspace does not belong to this algebra")
+def is_ideal(alg: StructureAlgebra, sub: Subspace) -> bool:
+    _require_ambient(alg, sub)
     # [sub, L, ..., L] is spanned by the ad(e_J)(b), b in the basis of sub
     return all(
-        sub.space.contains_vector(apply_rows(b, ad))
-        for ad in alg._ad.values()
-        for b in sub.space.rows.values()
+        sub.contains_vector(apply_rows(b, ad)) for ad in alg._ad.values() for b in sub.rows.values()
     )
 
 
@@ -523,7 +489,7 @@ def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
 
 
 def quotient_algebra(
-    alg: StructureAlgebra, ideal: AlgebraSubspace
+    alg: StructureAlgebra, ideal: Subspace
 ) -> tuple[StructureAlgebra, tuple[int, ...]]:
     """Quotient by an ideal, on the echelon-complement coordinates.
 
@@ -532,7 +498,7 @@ def quotient_algebra(
     """
     if not is_ideal(alg, ideal):
         raise ValueError("quotient requires an ideal")
-    return _quotient(alg, ideal.space)
+    return _quotient(alg, ideal)
 
 
 def _quotient(
@@ -555,13 +521,13 @@ def _quotient(
 
 
 def subalgebra_on(
-    alg: StructureAlgebra, sub: AlgebraSubspace, names: tuple[str, ...] | None = None
+    alg: StructureAlgebra, space: Subspace, names: tuple[str, ...] | None = None
 ) -> StructureAlgebra:
     """The algebra induced on a bracket-closed subspace, in the coordinates
     of its echelon basis rows.  The table loop is the closure check: by
     multilinearity the subspace is closed iff every bracket of its basis
     rows stays inside it."""
-    space = sub.space
+    _require_ambient(alg, space)
     k = space.dim
     if names is None:
         names = tuple(f"b{i + 1}" for i in range(k))
@@ -602,13 +568,19 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise AlgebraFormatError(f"{path}: {message}")
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is a JSON integer: ``bool`` subclasses ``int``, but a
+    JSON ``true`` is not a number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json_dict(obj) -> StructureAlgebra:
     _expect(isinstance(obj, dict), "$", "expected a JSON object")
     for key in ("n", "dim", "basis", "brackets"):
         _expect(key in obj, f"$.{key}", "missing field")
     n, dim = obj["n"], obj["dim"]
-    _expect(isinstance(n, int) and n >= 2, "$.n", "arity must be an integer >= 2")
-    _expect(isinstance(dim, int) and dim >= 0, "$.dim", "dimension must be a nonnegative integer")
+    _expect(_is_int(n) and n >= 2, "$.n", "arity must be an integer >= 2")
+    _expect(_is_int(dim) and dim >= 0, "$.dim", "dimension must be a nonnegative integer")
     basis = obj["basis"]
     _expect(isinstance(basis, list) and all(isinstance(x, str) for x in basis),
             "$.basis", "expected a list of strings")
@@ -623,7 +595,7 @@ def from_json_dict(obj) -> StructureAlgebra:
         args = entry["args"]
         _expect(isinstance(args, list) and len(args) == n, f"{path}.args",
                 f"expected {n} indices")
-        _expect(all(isinstance(i, int) and 1 <= i <= dim for i in args), f"{path}.args",
+        _expect(all(_is_int(i) and 1 <= i <= dim for i in args), f"{path}.args",
                 "indices must be 1-based and within the dimension")
         _expect(all(a < b for a, b in zip(args, args[1:])), f"{path}.args",
                 "indices must be strictly increasing")
@@ -637,8 +609,7 @@ def from_json_dict(obj) -> StructureAlgebra:
             _expect(isinstance(triplet, list) and len(triplet) == 3, tpath,
                     "expected [numerator, denominator, basis_index]")
             num, den, pos = triplet
-            _expect(isinstance(num, int) and isinstance(den, int) and isinstance(pos, int),
-                    tpath, "entries must be integers")
+            _expect(all(map(_is_int, triplet)), tpath, "entries must be integers")
             _expect(den != 0, tpath, "zero denominator")
             _expect(1 <= pos <= dim, tpath, "basis index out of range")
             coeff = Fraction(num, den)

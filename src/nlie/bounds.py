@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    AlgebraSubspace,
     StructureAlgebra,
     _quotient,
     abelian,
@@ -22,13 +21,12 @@ from .algebra import (
     is_ideal,
     minimal_generators,
     nilpotency_class,
-    subalgebra_on,
     upper_central_series,
     z_term,
 )
 from .counting import CountDomainError, convention_count
 from .free_algebra import DEFAULT_MAX_TREES, free_nilpotent, graded_dimension
-from .linalg import subspace_intersect
+from .linalg import Subspace, subspace_intersect
 from .multiplier import multiplier_report
 
 VARIANTS = ("oracle", "formula")
@@ -121,44 +119,52 @@ def _gamma_sum(algebra: StructureAlgebra, c: int, d: int) -> int:
 
 
 def check_quotient_bound(
-    algebra: StructureAlgebra, ideal: AlgebraSubspace, c: int, descriptor: str,
+    algebra: StructureAlgebra, ideal: Subspace, c: int, descriptor: str,
     max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> BoundCheck:
     """dim M^(c)(L/M) <= dim M^(c)(L) + dim(gamma_{c+1}(L) /\\ M)."""
     if not is_ideal(algebra, ideal):
         raise ValueError("quotient bound requires an ideal")
     rep = multiplier_report(algebra, c, max_trees=max_trees)
-    quotient, _ = _quotient(algebra, ideal.space)
+    quotient, _ = _quotient(algebra, ideal)
     rep_q = multiplier_report(quotient, c, max_trees=max_trees)
-    cap = subspace_intersect(gamma_term(algebra, c + 1).space, ideal.space).dim
+    cap = subspace_intersect(gamma_term(algebra, c + 1), ideal).dim
     return _row("quotient", descriptor, "oracle", rep_q.multiplier_dim, rep.multiplier_dim + cap)
 
 
 def check_central_tensor_bound(
-    algebra: StructureAlgebra, ideal: AlgebraSubspace, c: int, descriptor: str,
-    variant: str = "oracle", max_trees: int | None = DEFAULT_MAX_TREES,
+    algebra: StructureAlgebra, ideal: Subspace, c: int, descriptor: str,
+    max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> BoundCheck:
     """dim M^(c)(L) + dim(gamma_{c+1}(L) /\\ M) <= dim M^(c)(L/M)
     + dim M^(c)(M) + (dim (L/M)^ab)^(c(n-1)) * dim M, for central M.
 
     The last term is the product upper bound for the c-fold tensor of the
     abelianized quotient with M.  All multiplier terms are true (engine)
-    dimensions; see ``run_catalog`` for which ideals are asserted.
+    dimensions.  M is central, so every bracket of M is 0 and M^(c)(M) is
+    read off the abelian algebra of dimension dim M.
+
+    The row asserts ("oracle") when M is the zero ideal, the derived
+    subalgebra gamma_2(L) or the whole algebra (then abelian).  Other
+    central ideals run report-only ("exploratory"): with true dimensions on
+    every term the inequality can fail (the rank oracle undercuts the
+    closed-form count the bound's slack relies on), e.g. the centre of
+    H(2,1)+A(2) at c=2.
     """
-    if not z_term(algebra, 1).space.contains_subspace(ideal.space):
+    if not z_term(algebra, 1).contains_subspace(ideal):
         raise ValueError("central-tensor bound requires a central ideal")
     n = algebra.n
     rep = multiplier_report(algebra, c, max_trees=max_trees)
-    cap = subspace_intersect(gamma_term(algebra, c + 1).space, ideal.space).dim
+    cap = subspace_intersect(gamma_term(algebra, c + 1), ideal).dim
     lhs = rep.multiplier_dim + cap
-    quotient, _ = _quotient(algebra, ideal.space)
+    quotient, _ = _quotient(algebra, ideal)
     rep_q = multiplier_report(quotient, c, max_trees=max_trees)
-    sub = subalgebra_on(algebra, ideal)
-    rep_m = multiplier_report(sub, c, max_trees=max_trees)
+    rep_m = multiplier_report(abelian(ideal.dim, n), c, max_trees=max_trees)
     ab_dim = quotient.dim - gamma_term(quotient, 2).dim
     tensor_bound = ab_dim ** (c * (n - 1)) * ideal.dim
     rhs = rep_q.multiplier_dim + rep_m.multiplier_dim + tensor_bound
-    return _row("central-tensor", descriptor, variant, lhs, rhs)
+    asserted = ideal.dim in (0, algebra.dim) or ideal == gamma_term(algebra, 2)
+    return _row("central-tensor", descriptor, "oracle" if asserted else "exploratory", lhs, rhs)
 
 
 def check_generator_bounds(
@@ -203,7 +209,7 @@ def check_hypercenter_bound(
     zc = z_term(algebra, c)
     rows = _bound_rows("hypercenter", descriptor, gdim, n, algebra.dim - zc.dim, [c + 1],
                        max_trees=max_trees)
-    quotient, _ = _quotient(algebra, zc.space)
+    quotient, _ = _quotient(algebra, zc)
     if nilpotency_class(quotient) is None:
         rows.append(_inapplicable("hypercenter-corollary", descriptor, "quotient-not-nilpotent"))
         return rows
@@ -271,16 +277,16 @@ def catalog_algebras(max_trees: int | None = DEFAULT_MAX_TREES) -> list[tuple[st
     return entries
 
 
-def _ideal_choices(algebra: StructureAlgebra) -> list[tuple[str, AlgebraSubspace]]:
+def _ideal_choices(algebra: StructureAlgebra) -> list[tuple[str, Subspace]]:
     candidates = [
-        ("0", algebra.zero_subspace()),
+        ("0", Subspace.zero(algebra.dim)),
         ("gamma2", gamma_term(algebra, 2)),
-        ("L", algebra.full_subspace()),
+        ("L", Subspace.full(algebra.dim)),
         ("center", z_term(algebra, 1)),
     ]
-    chosen: list[tuple[str, AlgebraSubspace]] = []
+    chosen: list[tuple[str, Subspace]] = []
     for label, sub in candidates:
-        if all(sub.space != seen.space for _, seen in chosen):
+        if all(sub != seen for _, seen in chosen):
             chosen.append((label, sub))
     return chosen
 
@@ -313,18 +319,8 @@ def run_catalog(
             for mlabel, ideal in _ideal_choices(algebra):
                 mdesc = f"L={label}, M={mlabel}, c={c}"
                 checks.append(check_quotient_bound(algebra, ideal, c, mdesc, max_trees))
-                if centre.space.contains_subspace(ideal.space):
-                    # Asserted central-tensor instances are the zero ideal,
-                    # a central derived subalgebra, and the whole algebra
-                    # when abelian.  Other central ideals run report-only:
-                    # with true dimensions on every term the inequality can
-                    # fail (the rank oracle undercuts the closed-form count
-                    # the bound's slack relies on), e.g. the centre of
-                    # H(2,1)+A(2) at c=2.
-                    variant = "oracle" if mlabel in ("0", "gamma2", "L") else "exploratory"
-                    checks.append(
-                        check_central_tensor_bound(algebra, ideal, c, mdesc, variant, max_trees)
-                    )
+                if centre.contains_subspace(ideal):
+                    checks.append(check_central_tensor_bound(algebra, ideal, c, mdesc, max_trees))
     checks.sort(key=lambda ck: (ck.name, ck.descriptor, ck.variant))
     return checks
 

@@ -296,7 +296,7 @@ def cmd_zcstar(args) -> int:
         "zcstar_dim": star.dim,
         "capable_c": capable,
         "basis": [
-            [frac_str(row.get(i, 0)) for i in range(algebra.dim)] for row in star.space.basis
+            [frac_str(row.get(i, 0)) for i in range(algebra.dim)] for row in star.basis
         ],
     }
     _emit(payload, args.tsv)

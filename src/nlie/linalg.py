@@ -46,10 +46,6 @@ class InclusionError(ValueError):
     """A quotient was requested for subspaces that are not nested."""
 
 
-def zero_vector(length: int) -> Vector:
-    return (_F0,) * length
-
-
 def unit_vector(length: int, index: int) -> Vector:
     return tuple(_F1 if i == index else _F0 for i in range(length))
 
@@ -323,12 +319,6 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
         return Subspace.zero(n)
     doubled = [{**x, **{n + col: c for col, c in x.items()}} for x in u.rows.values()]
     return _upper_block(doubled + list(v.rows.values()), n, n)
-
-
-def subspace_member(u: Subspace, vec: VectorLike) -> bool:
-    if not isinstance(vec, Mapping) and len(tuple(vec)) != u.ambient_dim:
-        raise AmbientMismatchError("vector length differs from ambient dimension")
-    return u.contains_vector(vec)
 
 
 def quotient_dim(u: Subspace, v: Subspace) -> int:

@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import (
-    AlgebraSubspace,
     NotNilpotentError,
     StructureAlgebra,
     _ad_images,
@@ -96,7 +95,7 @@ def present(
     if m is None:
         raise NotNilpotentError("free presentation requires a nilpotent algebra")
     gamma2 = gamma_term(algebra, 2)
-    comp = gamma2.space.complement_coords()
+    comp = gamma2.complement_coords()
     d = len(comp)
     if lifts is None:
         lifts = tuple(unit_vector(algebra.dim, j) for j in comp)
@@ -104,7 +103,7 @@ def present(
         lifts = tuple(tuple(Fraction(x) for x in row) for row in lifts)
         if len(lifts) != d or any(len(row) != algebra.dim for row in lifts):
             raise ValueError(f"expected {d} lift vectors of length {algebra.dim}")
-        residues = [gamma2.space.reduce(row) for row in lifts]
+        residues = [gamma2.reduce(row) for row in lifts]
         if Subspace.from_vectors(residues, algebra.dim).dim != d:
             raise ValueError("lift vectors do not project onto a basis modulo the derived subalgebra")
     free = free_nilpotent(algebra.n, d, max(m + c + extra_class, 1), max_trees)
@@ -302,11 +301,11 @@ def multiplier_dim(algebra: StructureAlgebra, c: int) -> int:
     return multiplier_report(algebra, c).multiplier_dim
 
 
-def z_star(algebra: StructureAlgebra, c: int) -> tuple[AlgebraSubspace, bool]:
+def z_star(algebra: StructureAlgebra, c: int) -> tuple[Subspace, bool]:
     """The c-th star centre of L (image of the c-th centre of the free
     c-central extension) and the c-capability flag (capable iff zero)."""
     _, star = _analyze(algebra, c)
-    return AlgebraSubspace(algebra, star), star.dim == 0
+    return star, star.dim == 0
 
 
 def is_capable(algebra: StructureAlgebra, c: int) -> bool:
@@ -335,7 +334,7 @@ def random_lifts(algebra: StructureAlgebra, seed: int) -> tuple[Vector, ...]:
     """A randomized (but seeded, hence reproducible) complement basis for
     the derived subalgebra, for presentation-invariance checks."""
     gamma2 = gamma_term(algebra, 2)
-    comp = gamma2.space.complement_coords()
+    comp = gamma2.complement_coords()
     rng = random.Random(seed)
     d = len(comp)
     rows = []
@@ -344,7 +343,7 @@ def random_lifts(algebra: StructureAlgebra, seed: int) -> tuple[Vector, ...]:
         row[j] = _F1
         for other in comp[pos + 1 :]:
             row[other] = Fraction(rng.randint(-3, 3))
-        for vec in gamma2.space.basis:
+        for vec in gamma2.basis:
             f = Fraction(rng.randint(-3, 3))
             if f:
                 for col, val in vec.items():
@@ -352,12 +351,6 @@ def random_lifts(algebra: StructureAlgebra, seed: int) -> tuple[Vector, ...]:
         rows.append(tuple(row))
     assert len(rows) == d
     return tuple(rows)
-
-
-def truncation_consistent(algebra: StructureAlgebra, c: int) -> bool:
-    """Spot-check that enlarging the presentation class by one does not
-    change the reported dimensions."""
-    return _agrees_with_wider_cover(algebra, c, _analyze(algebra, c)[0])
 
 
 def clear_cache() -> None:

@@ -61,16 +61,6 @@ def order_key(tree: Tree) -> tuple:
     return (weight(tree),) + tuple(order_key(child) for child in tree)
 
 
-def compare_trees(a: Tree, b: Tree) -> int:
-    """Total tree order as a three-way comparison (-1, 0, or +1)."""
-    ka, kb = order_key(a), order_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def _sort_with_sign(keys) -> tuple[int, list]:
     """``keys`` sorted ascending by one insertion-sort pass, with the parity
     of the sorting permutation as +1/-1 (the sign flips at each swap), or 0

@@ -15,11 +15,13 @@ from math import comb
 
 from sympy import divisors, mobius
 
-from nlie.algebra import abelian, gamma_term, heisenberg, quotient_algebra, z_term
+from nlie.algebra import (
+    abelian, direct_sum, gamma_term, heisenberg, quotient_algebra, to_json_dict, z_term,
+)
 from nlie.bounds import run_catalog, violations
 from nlie.cli import main
 from nlie.counting import compare_table, formula_count
-from nlie.free_algebra import graded_dimension
+from nlie.free_algebra import free_nilpotent, graded_dimension
 from nlie.linalg import subspace_intersect
 from nlie.multiplier import multiplier_report, z_star
 
@@ -105,7 +107,7 @@ def test_criterion_6_capability():
         and star1.dim == 0
         and not capable2
         and star2.dim == 1
-        and star2.space == gamma_term(h22, 2).space
+        and star2 == gamma_term(h22, 2)
     )
     _criterion(6, ok, "Z_1^*(H(2,1)) = 0 and Z_1^*(H(2,2)) = derived subalgebra (dim 1)")
 
@@ -135,14 +137,14 @@ def test_criterion_8_equivalence_identity():
     c = 2
     quotient, _ = quotient_algebra(h22, m)
     lhs = multiplier_report(quotient, c).multiplier_dim
-    cap = subspace_intersect(m.space, gamma_term(h22, c + 1).space).dim
+    cap = subspace_intersect(m, gamma_term(h22, c + 1)).dim
     rhs = multiplier_report(h22, c).multiplier_dim + cap
     star, _ = z_star(h22, c)
     ok = (
         cap == 0
         and lhs == rhs == 20
-        and star.space.contains_subspace(m.space)
-        and z_term(h22, c).space.contains_subspace(m.space)
+        and star.contains_subspace(m)
+        and z_term(h22, c).contains_subspace(m)
     )
     _criterion(8, ok, "additive multiplier identity holds for M = derived subalgebra of H(2,2), c = 2")
 
@@ -188,3 +190,33 @@ def test_bounds_output_is_pinned(capsys):
             assert main(["bounds", "--c-max", str(c_max)] + extra) == 0
             got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
         assert tuple(got) == pinned, c_max
+
+
+CATALOG_DIR_FILES = {
+    "h21_a1.json": lambda: direct_sum(heisenberg(2, 1), abelian(1, 2)),
+    "h21_a2.json": lambda: direct_sum(heisenberg(2, 1), abelian(2, 2)),
+    "h21_h21.json": lambda: direct_sum(heisenberg(2, 1), heisenberg(2, 1)),
+    "h22.json": lambda: heisenberg(2, 2),
+    "h31.json": lambda: heisenberg(3, 1),
+    "f223.json": lambda: free_nilpotent(2, 2, 3).algebra,
+}
+CATALOG_DIR_SHA256 = (
+    "656df5233d183dfb09c077ee94082d4d7172bf06f1f2bf93743169f13a8d7e27",
+    "c241e654095c497bcf3f90a29a0dafd70c9a702f4ff3c021cc8ca881515a659e",
+)
+
+
+def test_bounds_catalog_dir_output_is_pinned(tmp_path, capsys):
+    """A user catalog whose centres give exploratory central-tensor rows:
+    the JSON and TSV output of ``bounds --catalog DIR --c-max 3``."""
+    for name, build in CATALOG_DIR_FILES.items():
+        (tmp_path / name).write_text(json.dumps(to_json_dict(build())) + "\n")
+    got = []
+    for extra in ([], ["--tsv"]):
+        assert main(["bounds", "--catalog", str(tmp_path), "--c-max", "3"] + extra) == 0
+        out = capsys.readouterr().out
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+        if not extra:
+            rows = json.loads(out)
+    assert tuple(got) == CATALOG_DIR_SHA256
+    assert sum(r["variant"] == "exploratory" for r in rows) == 9

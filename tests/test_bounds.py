@@ -4,12 +4,18 @@ import pytest
 
 from nlie.algebra import (
     abelian,
+    bracket_product,
     direct_sum,
     gamma_term,
     heisenberg,
+    is_ideal,
+    quotient_algebra,
+    subalgebra_on,
     z_term,
 )
 from nlie.bounds import (
+    _ideal_choices,
+    catalog_algebras,
     check_central_tensor_bound,
     check_class_bounds,
     check_dim_cap_bound,
@@ -22,7 +28,11 @@ from nlie.bounds import (
 )
 from nlie import free_algebra, multiplier
 from nlie.free_algebra import ResourceLimitError, free_nilpotent, graded_dimension
-from nlie.linalg import unit_vector
+from nlie.linalg import AmbientMismatchError, Subspace, unit_vector
+
+
+def _sub(alg, vectors):
+    return Subspace.from_vectors(vectors, alg.dim)
 
 
 def test_quotient_bound_examples():
@@ -31,21 +41,21 @@ def test_quotient_bound_examples():
     assert (ck.lhs, ck.rhs, ck.holds) == (1, 3, True)
 
     a3 = abelian(3, 2)
-    line = a3.subspace([unit_vector(3, 0)])
+    line = _sub(a3, [unit_vector(3, 0)])
     ck = check_quotient_bound(a3, line, 1, "L=A(3), M=e1, c=1")
     assert (ck.lhs, ck.rhs, ck.holds) == (1, 3, True)
 
 
 def test_quotient_bound_zero_ideal_has_zero_slack():
     h = heisenberg(2, 2)
-    ck = check_quotient_bound(h, h.zero_subspace(), 1, "M=0")
+    ck = check_quotient_bound(h, Subspace.zero(h.dim), 1, "M=0")
     assert ck.slack == 0 and ck.holds
 
 
 def test_quotient_bound_rejects_non_ideal():
     h = heisenberg(2, 1)
     with pytest.raises(ValueError):
-        check_quotient_bound(h, h.subspace([unit_vector(3, 0)]), 1, "bad")
+        check_quotient_bound(h, _sub(h, [unit_vector(3, 0)]), 1, "bad")
 
 
 def test_central_tensor_examples():
@@ -55,17 +65,17 @@ def test_central_tensor_examples():
     assert (ck.lhs, ck.rhs, ck.holds) == (3, 3, True)
 
     a = abelian(3, 2)
-    ck = check_central_tensor_bound(a, a.full_subspace(), 2, "M=L")
+    ck = check_central_tensor_bound(a, Subspace.full(3), 2, "M=L")
     assert ck.slack == 0 and ck.holds
 
-    ck = check_central_tensor_bound(h, h.zero_subspace(), 1, "M=0")
+    ck = check_central_tensor_bound(h, Subspace.zero(3), 1, "M=0")
     assert ck.slack == 0 and ck.holds
 
 
 def test_central_tensor_rejects_non_central():
     h = heisenberg(2, 1)
     with pytest.raises(ValueError):
-        check_central_tensor_bound(h, h.full_subspace(), 1, "bad")
+        check_central_tensor_bound(h, Subspace.full(3), 1, "bad")
 
 
 def test_central_tensor_counterexample_is_reported_not_asserted():
@@ -76,7 +86,7 @@ def test_central_tensor_counterexample_is_reported_not_asserted():
     alg = direct_sum(heisenberg(2, 1), abelian(2, 2))
     centre = z_term(alg, 1)
     ck = check_central_tensor_bound(alg, centre, 2, "L=H(2,1)+A(2), M=center, c=2")
-    assert (ck.lhs, ck.rhs, ck.holds) == (23, 22, False)
+    assert (ck.lhs, ck.rhs, ck.holds, ck.variant) == (23, 22, False, "exploratory")
     checks = run_catalog(2)
     row = [
         c for c in checks
@@ -213,7 +223,7 @@ def _guarded_checks():
         "maximal-class": lambda guard: check_maximal_class_bound(h21, 1, "L=H(2,1)", guard),
         "quotient": lambda guard: check_quotient_bound(h22, centre, 2, "M=centre", guard),
         "central-tensor": lambda guard: check_central_tensor_bound(
-            h22, centre, 2, "M=centre", "oracle", guard
+            h22, centre, 2, "M=centre", guard
         ),
     }
 
@@ -235,3 +245,46 @@ def test_run_catalog_passes_the_tree_guard():
     multiplier.clear_cache()
     with pytest.raises(ResourceLimitError, match="more than 20 canonical trees"):
         run_catalog(2, max_trees=20)
+
+
+CATALOG = catalog_algebras()
+
+
+@pytest.mark.parametrize("label,alg", CATALOG, ids=[label for label, _ in CATALOG])
+def test_central_tensor_variant_follows_the_ideal(label, alg):
+    """A central-tensor row asserts exactly for M = 0, gamma_2(L) or L, the
+    labels ``_ideal_choices`` keeps for them; a centre that differs from all
+    three is exploratory.  Each central ideal is an abelian subalgebra, the
+    algebra whose multiplier the row reads."""
+    centre = z_term(alg, 1)
+    for mlabel, ideal in _ideal_choices(alg):
+        if not centre.contains_subspace(ideal):
+            continue
+        assert subalgebra_on(alg, ideal).table == {}
+        ck = check_central_tensor_bound(alg, ideal, 1, mlabel)
+        want = "exploratory" if mlabel == "center" else "oracle"
+        assert ck.variant == want, (label, mlabel)
+
+
+def _wrong_ambient_calls():
+    """One call per function that takes a subspace of an algebra."""
+    alg = heisenberg(2, 1)
+    full = Subspace.full(alg.dim)
+    return {
+        "is_ideal": lambda sub: is_ideal(alg, sub),
+        "quotient_algebra": lambda sub: quotient_algebra(alg, sub),
+        "subalgebra_on": lambda sub: subalgebra_on(alg, sub),
+        "bracket_product": lambda sub: bracket_product(alg, full, sub),
+        "check_quotient_bound": lambda sub: check_quotient_bound(alg, sub, 1, "x"),
+        "check_central_tensor_bound": lambda sub: check_central_tensor_bound(alg, sub, 1, "x"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_wrong_ambient_calls()))
+@pytest.mark.parametrize("sub", [Subspace.zero(4), Subspace.full(2), Subspace.zero(2)],
+                         ids=["zero-of-4", "full-of-2", "zero-of-2"])
+def test_subspace_of_another_dimension_is_rejected(name, sub):
+    """H(2,1) has dimension 3; a subspace of F^4 or F^2 is no subspace of
+    it, even where the call would otherwise return without looking."""
+    with pytest.raises(AmbientMismatchError):
+        _wrong_ambient_calls()[name](sub)

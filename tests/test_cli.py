@@ -294,6 +294,36 @@ def test_error_paths_exit_2_with_one_line(tmp_path, capsys):
         assert run_cli(capsys, *argv) == (2, "", message), argv
 
 
+HEISENBERG = {"n": 2, "dim": 3, "basis": ["x", "y", "z"],
+              "brackets": [{"args": [1, 2], "value": [[1, 1, 3]]}]}
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        (("n",), "$.n: arity must be an integer >= 2"),
+        (("dim",), "$.dim: dimension must be a nonnegative integer"),
+        (("brackets", 0, "args", 0),
+         "$.brackets[0].args: indices must be 1-based and within the dimension"),
+        (("brackets", 0, "value", 0, 0), "$.brackets[0].value[0]: entries must be integers"),
+        (("brackets", 0, "value", 0, 1), "$.brackets[0].value[0]: entries must be integers"),
+        (("brackets", 0, "value", 0, 2), "$.brackets[0].value[0]: entries must be integers"),
+    ],
+    ids=["n", "dim", "args", "numerator", "denominator", "basis-index"],
+)
+def test_json_boolean_in_a_numeric_field_is_input_error(tmp_path, capsys, path, message):
+    """``true`` is a Python int but not a JSON number: each numeric field
+    rejects it with its field path instead of reading it as 1."""
+    obj = json.loads(json.dumps(HEISENBERG))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = True
+    file = tmp_path / "bool.json"
+    file.write_text(json.dumps(obj))
+    assert run_cli(capsys, "multiplier", str(file), "-c", "1") == (2, "", f"error: {file}: {message}\n")
+
+
 def test_unwritable_emit_path_exits_2_with_one_line(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.json"
     cases = [

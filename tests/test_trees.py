@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from nlie.trees import (
     canonicalize,
-    compare_trees,
     check_tree,
     leaf_count,
     order_key,
@@ -23,9 +22,8 @@ def trees(n=2, d=3, depth=2):
 
 def test_order_generators_by_index():
     assert order_key(1) < order_key(2)
-    assert compare_trees(1, 2) == -1
-    assert compare_trees(2, 1) == 1
-    assert compare_trees((1, 2), (1, 2)) == 0
+    assert order_key(2) > order_key(1)
+    assert order_key((1, 2)) == order_key((1, 2))
 
 
 def test_generator_below_bracket():
