@@ -134,7 +134,8 @@ def load_algebra_arg(
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{text}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep for the decoder
         raise InputError(f"{text}: {exc}") from exc
     try:
         algebra = from_json_dict(obj)
@@ -489,23 +490,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-class _Unparsed(Exception):
-    """A one-subcommand parser met input it does not accept."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Unparsed(message)
-
-
 def build_command_parser(name: str) -> argparse.ArgumentParser:
-    """A parser of the subcommand ``name`` alone: the arguments and
-    defaults the full parser gives it, plus its ``command``, so a valid
-    input parses to the same namespace.  It has no help option and raises
-    :class:`_Unparsed` instead of printing, so every help request
-    (abbreviations too) and every error can go on to the full parser,
-    whose text is the one printed."""
-    parser = _OneCommandParser(prog=f"nlie {name}", add_help=False)
+    """A parser of the subcommand ``name`` alone, configured as the full
+    parser configures its subparser (prog, description, help option,
+    arguments and defaults) plus its ``command``: a valid input parses to
+    the same namespace, and help and errors print the same text."""
+    parser = argparse.ArgumentParser(prog=f"nlie {name}", description=_COMMANDS[name][1])
     _add_arguments(parser, name)
     parser.set_defaults(command=name)
     return parser
@@ -518,15 +508,15 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace of ``argv``: read by the parser of its subcommand
-    alone when ``argv`` starts with a subcommand, asks for no help and has
-    no error, and otherwise by the full parser, which prints the help or
-    the error and exits."""
-    if argv and argv[0] in _COMMANDS and "-h" not in argv and "--help" not in argv:
-        try:
-            return _command_parser(argv[0]).parse_args(argv[1:])
-        except _Unparsed:
-            pass
+    """The namespace of ``argv``, read by the parser of its subcommand alone
+    when ``argv`` starts with one; that parser prints help and errors as
+    the full parser's subparser does.  Arguments it leaves over, and an
+    ``argv`` that starts with no subcommand, go to the full parser, which
+    prints the help or the error and exits."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
     return _parser().parse_args(argv)
 
 

@@ -98,6 +98,10 @@ class CountRow:
         return out
 
 
+# the largest (d, w) grid compare_table evaluates
+MAX_CELLS = 400
+
+
 class GridLimitError(RuntimeError):
     """The comparison grid exceeded its cell guard."""
 
@@ -111,7 +115,6 @@ def compare_table(
     n: int,
     d_values,
     w_values,
-    max_cells: int = 400,
     max_trees: int | None = DEFAULT_MAX_TREES,
 ) -> list[CountRow]:
     """Formula-vs-oracle table over a bounded grid; reports, never asserts.
@@ -119,8 +122,8 @@ def compare_table(
     cells, so its multidegree keys are made once, in one digit base."""
     d_values = list(d_values)
     w_values = list(w_values)
-    if len(d_values) * len(w_values) > max_cells:
-        raise GridLimitError(len(d_values) * len(w_values), max_cells)
+    if len(d_values) * len(w_values) > MAX_CELLS:
+        raise GridLimitError(len(d_values) * len(w_values), MAX_CELLS)
     rows = []
     for d in d_values:
         if w_values:

@@ -261,10 +261,6 @@ class GradedComponent:
     def basis_position(self) -> dict[int, int]:
         return {idx: pos for pos, idx in enumerate(self.basis_indices)}
 
-    @cached_property
-    def tree_index(self) -> dict[Tree, int]:
-        return {t: i for i, t in enumerate(self.trees)}
-
     @property
     def dim(self) -> int:
         return self.width - self.rank
@@ -272,15 +268,6 @@ class GradedComponent:
     @property
     def basis_trees(self) -> tuple[Tree, ...]:
         return tuple(map(self.trees.__getitem__, self.basis_indices))
-
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Residue of a vector modulo R_w, on the basis coordinates."""
-        return self.relations.reduce(vec)
-
-    def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Coordinates of a weight-w vector over the layer basis."""
-        positions = self.basis_position
-        return {positions[i]: c for i, c in self.reduce(vec).items()}
 
 
 def _add_bracket(row: dict[int, int], coeff, kids: tuple[int, ...], ids: dict, start: int) -> None:
@@ -658,10 +645,6 @@ class FreeNilpotentAlgebra:
 
     def layer_dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.components)
-
-    def layer_span(self, w_min: int) -> Subspace:
-        """Span of the basis vectors of weight >= w_min."""
-        return Subspace(self.dim, {i: {i: 1} for i in range(self.dim) if self.weights[i] >= w_min})
 
     @cached_property
     def basis_trees(self) -> tuple[Tree, ...]:

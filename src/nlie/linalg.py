@@ -18,6 +18,13 @@ an input vector is scaled to integers once on entry,
 :attr:`Subspace.basis` divides each row by its pivot entry, and
 :meth:`Subspace.reduce` divides its remainder once by the product of the
 factors it scaled by.
+
+Kernels and intersections come by duality from :func:`annihilator`, which
+reads the forms vanishing on a subspace off its rows: :func:`left_kernel`
+is the annihilator of the column space, and :func:`subspace_intersect` the
+annihilator of the sum of the two annihilators.  A caller that needs only
+dim(u /\\ v) reads it as dim u + dim v - dim(u + v) from
+:func:`subspace_sum`, one elimination.
 """
 
 from __future__ import annotations
@@ -286,23 +293,6 @@ def annihilator(space: Subspace) -> list[dict]:
     return list(forms.values())
 
 
-def _upper_block(vectors: Iterable[VectorLike], split: int, width: int) -> Subspace:
-    """Span ``vectors`` in F^(split + width) and keep the part of the span
-    that vanishes below ``split``, shifted down into F^width.
-
-    The builder's rows have distinct first columns, so a combination of them
-    vanishes below ``split`` only if every row in it does: the rows with a
-    first column at or past ``split`` are a basis of that part, and only
-    they are re-spanned."""
-    builder = SpanBuilder(split + width)
-    for vec in vectors:
-        builder.insert(vec)
-    return Subspace.from_vectors((
-        {col - split: x for col, x in row.items()}
-        for p, row in builder.rows.items() if p >= split
-    ), width)
-
-
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatchError("ambient dimensions differ")
@@ -310,15 +300,17 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection by Zassenhaus elimination: the span of (x | x) for x in
-    u and (y | 0) for y in v meets 0 + F^n exactly in 0 + (u /\\ v)."""
+    """u /\\ v = ann(ann u + ann v), forms and vectors paired by the dot
+    product.
+
+    Lemma.  A vector is killed by every form of ann u + ann v exactly when
+    it is killed by every form of ann u and of ann v, so ann(ann u + ann v)
+    = ann ann u /\\ ann ann v, and ann ann W = W in finite dimension."""
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatchError("ambient dimensions differ")
     n = u.ambient_dim
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(n)
-    doubled = [{**x, **{n + col: c for col, c in x.items()}} for x in u.rows.values()]
-    return _upper_block(doubled + list(v.rows.values()), n, n)
+    forms = Subspace.from_vectors([*annihilator(u), *annihilator(v)], n)
+    return Subspace.from_vectors(annihilator(forms), n)
 
 
 def quotient_dim(u: Subspace, v: Subspace) -> int:
@@ -331,24 +323,21 @@ def quotient_dim(u: Subspace, v: Subspace) -> int:
 
 
 def left_kernel(rows: Sequence[VectorLike], ncols: int) -> Subspace:
-    """The space of row vectors x with x . M = 0, for M given by ``rows``.
+    """The space of row vectors x with x . M = 0, for M given by ``rows``,
+    in F^len(rows): the annihilator of the column space of M.
 
-    The result lives in F^len(rows); it is read off the augmented rows
-    (row_i | e_i) whose echelon pivot falls in the identity block.  A sparse
-    row with a column outside range(ncols) would land in that block, so it
-    is rejected.
-    """
-    n = len(rows)
-    if n == 0:
-        return Subspace.zero(0)
-    augmented = []
+    Lemma.  x . M = 0 exactly when x . (M e_j) = 0 for every column j, that
+    is, when x, read as a form on F^len(rows), vanishes on every column of
+    M.  A sparse row with a column outside range(ncols) is rejected."""
+    columns: dict[int, dict[int, object]] = {}
     for i, row in enumerate(rows):
-        entries = dict(_entries(row, ncols))
-        if entries and (min(entries) < 0 or max(entries) >= ncols):
-            raise AmbientMismatchError(f"row {i} has a column outside range({ncols})")
-        entries[ncols + i] = 1
-        augmented.append(entries)
-    return _upper_block(augmented, ncols, n)
+        for j, x in _entries(row, ncols):
+            if not 0 <= j < ncols:
+                raise AmbientMismatchError(f"row {i} has a column outside range({ncols})")
+            if x:
+                columns.setdefault(j, {})[i] = x
+    image = Subspace.from_vectors(columns.values(), len(rows))
+    return Subspace.from_vectors(annihilator(image), len(rows))
 
 
 def apply_rows(

@@ -9,7 +9,7 @@ import pytest
 
 from nlie import cli, free_algebra, multiplier
 from nlie.bounds import BoundCheck
-from nlie.cli import build_parser, main
+from nlie.cli import build_command_parser, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +145,25 @@ def test_invalid_json_reports_position(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert "line" in err
+
+
+@pytest.mark.parametrize("kind", ["deep", "binary"])
+def test_undecodable_file_is_input_error_naming_it(tmp_path, capsys, kind):
+    """A file nested too deep for the JSON decoder, or not UTF-8, exits 2
+    with one line naming it, also as one file of a --catalog directory."""
+    catalog = tmp_path / "catalog"
+    catalog.mkdir()
+    path = catalog / f"{kind}.json"
+    if kind == "deep":
+        path.write_text("[" * 100_000)
+        reason = "maximum recursion depth exceeded"
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    for argv in (["series", str(path)], ["bounds", "--c-max", "1", "--catalog", str(catalog)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1, argv
 
 
 def test_bounds_exit_codes(capsys, monkeypatch):
@@ -362,18 +381,27 @@ def test_bounds_max_trees_guards_the_covers(capsys):
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
-    """main builds the parser once per process: a graded run, an exit-2
-    input, a usage error and a --tsv run in one process print what each
+    """main builds each parser once per process: a subcommand's own parser
+    on its first call, the full parser on the first call that leaves an
+    argument over.  A graded run, an exit-2 input, a usage error, a --tsv
+    run and two unrecognized arguments in one process print what each
     prints in a process of its own."""
     runs = [
         ["graded", "-n", "2", "-d", "3", "-w", "4"],
         ["graded", "-n", "2", "-d", "2", "-w", "2", "--max-trees", "0"],
         ["graded", "-n", "2"],
         ["count", "-n", "2", "-d", "3", "-w", "3", "--tsv"],
+        ["graded", "-n", "2", "-d", "3", "-w", "4", "extra"],
+        ["count", "-n", "2", "-d", "3", "-w", "3", "--bogus"],
     ]
-    built = []
+    built, commands = [], []
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(
+        cli, "build_command_parser",
+        lambda name: commands.append(name) or build_command_parser(name),
+    )
     cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     together = []
     for argv in runs:
         free_algebra.clear_caches()
@@ -383,10 +411,12 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
             captured = capsys.readouterr()
             together.append((exc.code, captured.out, captured.err))
     cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     assert built == [1]
+    assert commands == ["graded", "count"]
     for argv, (code, out, err) in zip(runs, together):
         alone = subprocess.run(
             [sys.executable, "-m", "nlie.cli", *argv], capture_output=True, text=True
         )
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
-    assert [code for code, _, _ in together] == [0, 2, 2, 0]
+    assert [code for code, _, _ in together] == [0, 2, 2, 0, 2, 2]

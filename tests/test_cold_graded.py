@@ -103,7 +103,7 @@ def _inputs(command):
 @pytest.mark.parametrize("command", sorted(VALID))
 def test_help_and_errors_are_the_full_parsers(command):
     """Help and every parse error print the full parser's text and exit
-    code: the one-command parser prints nothing of its own."""
+    code."""
     for argv in _inputs(command):
         got = _outcome(cli._parse, argv)
         want = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
@@ -114,6 +114,9 @@ def test_help_and_errors_are_the_full_parsers(command):
 
 
 def test_cold_valid_call_builds_no_full_parser(capsys, monkeypatch):
+    """A valid call and a usage error are read by the subcommand's own
+    parser alone; only an argument it leaves over builds the full parser."""
+
     def refuse():
         raise AssertionError("the full parser was built")
 
@@ -122,12 +125,19 @@ def test_cold_valid_call_builds_no_full_parser(capsys, monkeypatch):
     try:
         free_algebra.clear_caches()
         assert cli.main(["graded", "-n", "2", "-d", "2", "-w", "3"]) == 0
-        with pytest.raises(AssertionError, match="full parser"):
+        with pytest.raises(SystemExit) as usage:
             cli.main(["graded", "-n", "2"])
+        assert usage.value.code == 2
+        with pytest.raises(AssertionError, match="full parser"):
+            cli.main(["graded", "-n", "2", "-d", "2", "-w", "3", "extra"])
     finally:
         cli._parser.cache_clear()
-    assert capsys.readouterr().out == (
+    captured = capsys.readouterr()
+    assert captured.out == (
         '{"n": 2, "d": 2, "w": 3, "canonical_trees": 2, "relation_rank": 0, "dim": 2}\n'
+    )
+    assert captured.err.endswith(
+        "nlie graded: error: the following arguments are required: -d, -w\n"
     )
 
 

@@ -240,10 +240,10 @@ def test_free_nilpotent_table_matches_exhaustive_loop(n, d, k):
         if sign == 0:
             continue
         comp = built.components[total - 1]
-        coords = comp.coordinates({comp.tree_index[ct]: Fraction(sign)})
-        if coords:
+        residue = comp.relations.reduce({comp.trees.index(ct): Fraction(sign)})
+        if residue:
             off = built.layer_offsets[total - 1]
-            want[args] = {off + pos: c for pos, c in coords.items()}
+            want[args] = {off + comp.basis_position[i]: c for i, c in residue.items()}
     assert list(built.algebra.table.items()) == list(want.items())
 
 
@@ -256,9 +256,10 @@ def test_coordinates_are_residue_at_basis_positions(n, d, w):
         cols = rng.sample(range(len(comp.trees)), min(4, len(comp.trees)))
         probes.append({col: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for col in cols})
     for vec in probes:
-        residue = comp.reduce(dict(vec))
+        residue = comp.relations.reduce(dict(vec))
+        assert set(residue) <= set(comp.basis_indices)
         want = {comp.basis_indices.index(i): c for i, c in residue.items()}
-        assert comp.coordinates(dict(vec)) == want
+        assert {comp.basis_position[i]: c for i, c in residue.items()} == want
     assert comp.basis_position == {i: pos for pos, i in enumerate(comp.basis_indices)}
 
 
@@ -315,7 +316,7 @@ def _random_composition(rng, total, parts):
 def test_relation_span_is_saturated(n, d, w):
     """Extra identity instances and re-wrapped relations never grow the span."""
     component = graded_component(n, d, w)
-    index_of = component.tree_index
+    index_of = {t: i for i, t in enumerate(component.trees)}
     rng = random.Random(10 * n + d + w)
 
     def reduces_to_zero(terms):
@@ -326,7 +327,7 @@ def test_relation_span_is_saturated(n, d, w):
                 continue
             idx = index_of[ct]
             vec[idx] = vec.get(idx, Fraction(0)) + coeff * sign
-        return not component.reduce(vec)
+        return not component.relations.reduce(vec)
 
     for _ in range(30):
         assert reduces_to_zero(_random_identity_instance(rng, n, d, w))
@@ -369,8 +370,8 @@ def test_resource_guard():
 def test_component_reduce_is_stable():
     component = graded_component(2, 3, 3)
     for idx in range(len(component.trees)):
-        residue = component.reduce({idx: Fraction(1)})
+        residue = component.relations.reduce({idx: Fraction(1)})
         assert set(residue) <= set(component.basis_indices)
-        again = component.reduce(residue)
+        again = component.relations.reduce(residue)
         assert again == residue
 

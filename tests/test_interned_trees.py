@@ -121,6 +121,7 @@ def test_relabelling_map_matches_nested_relabel(n, d, w):
 def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
     rng = random.Random(1000 * n + 10 * d + w)
     component = graded_component(n, d, w)
+    index_of = {t: i for i, t in enumerate(component.trees)}
     table = _tree_ids(n, d, w)
     nested = _nested_of(table, w)
     start = table.starts[w]
@@ -142,7 +143,7 @@ def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
                 replaced = list(as_trees(ts))
                 replaced[i] = (replaced[i],) + as_trees(ss)
                 terms.append((-1, tuple(replaced)))
-            want = _expand_terms(terms, component.tree_index)
+            want = _expand_terms(terms, index_of)
             assert _instance_row(ts, ss, table.ids, start) == want, (ts, ss)
             nonzero += bool(want)
 
@@ -159,7 +160,7 @@ def test_instance_and_wrapped_rows_match_nested_expansion(n, d, w):
             terms = [
                 (x, (lower.trees[col],) + as_trees(payload)) for col, x in relation.items()
             ]
-            want = _expand_terms(terms, component.tree_index)
+            want = _expand_terms(terms, index_of)
             got = general_wrapped_row(relation, table.starts[v], payload, table.ids, start)
             assert got == want, (v, payload)
             if v == w - 1:
@@ -256,14 +257,14 @@ def test_clear_caches_empties_every_module_memo():
     assert all(memos.values())
     # the lazily built parts of a component are kept on the component
     warm = graded_component(2, 3, 4)
-    warm.relations, warm.basis_position, warm.tree_index
-    assert {"relations", "basis_indices", "basis_position", "tree_index"} <= set(vars(warm))
+    warm.relations, warm.basis_position
+    assert {"relations", "basis_indices", "basis_position"} <= set(vars(warm))
     assert set(warm._blocks) == set(warm.block_keys)
     free_algebra.clear_caches()
     assert not any(memos.values())
     cold = graded_component(2, 3, 4)
     assert cold is not warm and cold.rank == warm.rank
-    assert not {"relations", "basis_indices", "basis_position", "tree_index"} & set(vars(cold))
+    assert not {"relations", "basis_indices", "basis_position"} & set(vars(cold))
     # only the orbit representatives' rows, nothing relabelled yet
     assert set(cold._blocks) == {m for m in cold.block_keys if m == _representative(m)}
     assert set(cold._blocks) < set(cold.block_keys)

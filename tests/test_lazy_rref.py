@@ -15,7 +15,7 @@ from nlie.linalg import SpanBuilder, Subspace
 
 from layer_record import layer_sha256
 
-LAZY = {"relations", "basis_indices", "basis_position", "tree_index"}
+LAZY = {"relations", "basis_indices", "basis_position"}
 
 
 def every_multidegree(n, d, w):

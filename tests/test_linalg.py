@@ -237,8 +237,9 @@ def test_left_kernel_rank_nullity(rows):
 
 @given(int_matrices(max_rows=5, max_cols=5))
 def test_annihilator_is_the_left_kernel_of_the_columns(rows):
-    """The forms read off the rows vanish on the space, and span the same
-    space as the left kernel of the matrix whose columns are its rows."""
+    """The forms read off the rows vanish on the space, and span sympy's
+    nullspace of the matrix whose rows span it: the left kernel of the
+    matrix whose columns are its rows."""
     ncols = len(rows[0])
     space = Subspace.from_vectors(rows, ncols)
     forms = annihilator(space)
@@ -246,8 +247,8 @@ def test_annihilator_is_the_left_kernel_of_the_columns(rows):
     for form in forms:
         for row in space.rows.values():
             assert not sum(x * row.get(q, 0) for q, x in form.items())
-    columns = [[row.get(q, 0) for row in space.rows.values()] for q in range(ncols)]
-    assert Subspace.from_vectors(forms, ncols) == left_kernel(columns, space.dim)
+    null = Matrix(rows).nullspace()
+    assert Subspace.from_vectors(forms, ncols) == _sympy_rref([list(v) for v in null], ncols)
 
 
 def test_annihilator_entries():
