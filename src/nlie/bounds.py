@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .counting import CountDomainError, convention_count
 from .free_algebra import DEFAULT_MAX_TREES, free_nilpotent, graded_dimension
-from .linalg import Subspace, subspace_sum
+from .linalg import Subspace, subspace_intersect
 from .multiplier import multiplier_report
 
 VARIANTS = ("oracle", "formula")
@@ -118,14 +118,6 @@ def _gamma_sum(algebra: StructureAlgebra, c: int, d: int) -> int:
     )
 
 
-def _gamma_cap(algebra: StructureAlgebra, ideal: Subspace, c: int) -> int:
-    """dim(gamma_{c+1}(L) /\\ M) = dim gamma_{c+1}(L) + dim M
-    - dim(gamma_{c+1}(L) + M): only the dimension is read, and a sum is one
-    elimination."""
-    gamma = gamma_term(algebra, c + 1)
-    return gamma.dim + ideal.dim - subspace_sum(gamma, ideal).dim
-
-
 def check_quotient_bound(
     algebra: StructureAlgebra, ideal: Subspace, c: int, descriptor: str,
     max_trees: int | None = DEFAULT_MAX_TREES,
@@ -136,7 +128,7 @@ def check_quotient_bound(
     rep = multiplier_report(algebra, c, max_trees=max_trees)
     quotient, _ = _quotient(algebra, ideal)
     rep_q = multiplier_report(quotient, c, max_trees=max_trees)
-    cap = _gamma_cap(algebra, ideal, c)
+    cap = subspace_intersect(gamma_term(algebra, c + 1), ideal).dim
     return _row("quotient", descriptor, "oracle", rep_q.multiplier_dim, rep.multiplier_dim + cap)
 
 
@@ -163,7 +155,8 @@ def check_central_tensor_bound(
         raise ValueError("central-tensor bound requires a central ideal")
     n = algebra.n
     rep = multiplier_report(algebra, c, max_trees=max_trees)
-    lhs = rep.multiplier_dim + _gamma_cap(algebra, ideal, c)
+    cap = subspace_intersect(gamma_term(algebra, c + 1), ideal).dim
+    lhs = rep.multiplier_dim + cap
     quotient, _ = _quotient(algebra, ideal)
     rep_q = multiplier_report(quotient, c, max_trees=max_trees)
     rep_m = multiplier_report(abelian(ideal.dim, n), c, max_trees=max_trees)

@@ -19,12 +19,8 @@ an input vector is scaled to integers once on entry,
 :meth:`Subspace.reduce` divides its remainder once by the product of the
 factors it scaled by.
 
-Kernels and intersections come by duality from :func:`annihilator`, which
-reads the forms vanishing on a subspace off its rows: :func:`left_kernel`
-is the annihilator of the column space, and :func:`subspace_intersect` the
-annihilator of the sum of the two annihilators.  A caller that needs only
-dim(u /\\ v) reads it as dim u + dim v - dim(u + v) from
-:func:`subspace_sum`, one elimination.
+:func:`left_kernel` is the :func:`annihilator` of the column space, one
+elimination; :func:`subspace_intersect` is one Zassenhaus elimination.
 """
 
 from __future__ import annotations
@@ -300,17 +296,24 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """u /\\ v = ann(ann u + ann v), forms and vectors paired by the dot
-    product.
-
-    Lemma.  A vector is killed by every form of ann u + ann v exactly when
-    it is killed by every form of ann u and of ann v, so ann(ann u + ann v)
-    = ann ann u /\\ ann ann v, and ann ann W = W in finite dimension."""
+    """Intersection by Zassenhaus elimination: the span of (x | x) for x in
+    u and (y | 0) for y in v meets 0 + F^n exactly in 0 + (u /\\ v).  The
+    builder's rows have distinct first columns, so the rows starting at or
+    past n are a basis of that part; only they are re-spanned, shifted."""
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatchError("ambient dimensions differ")
     n = u.ambient_dim
-    forms = Subspace.from_vectors([*annihilator(u), *annihilator(v)], n)
-    return Subspace.from_vectors(annihilator(forms), n)
+    if u.dim == 0 or v.dim == 0:
+        return Subspace.zero(n)
+    builder = SpanBuilder(2 * n)
+    for x in u.rows.values():
+        builder.insert({**x, **{n + col: c for col, c in x.items()}})
+    for y in v.rows.values():
+        builder.insert(y)
+    return Subspace.from_vectors((
+        {col - n: x for col, x in row.items()}
+        for p, row in builder.rows.items() if p >= n
+    ), n)
 
 
 def quotient_dim(u: Subspace, v: Subspace) -> int:
@@ -324,20 +327,28 @@ def quotient_dim(u: Subspace, v: Subspace) -> int:
 
 def left_kernel(rows: Sequence[VectorLike], ncols: int) -> Subspace:
     """The space of row vectors x with x . M = 0, for M given by ``rows``,
-    in F^len(rows): the annihilator of the column space of M.
+    in F^m, m = len(rows).  A sparse row with a column outside
+    range(ncols) is rejected.
 
-    Lemma.  x . M = 0 exactly when x . (M e_j) = 0 for every column j, that
-    is, when x, read as a form on F^len(rows), vanishes on every column of
-    M.  A sparse row with a column outside range(ncols) is rejected."""
+    Lemma.  x . M = 0 exactly when x vanishes on every column M e_j, so the
+    kernel is the annihilator of the column space.  The columns are spanned
+    with coordinate i read as m-1-i, so in the original order each reduced
+    row r_p ends at its pivot p, and the form e_q - sum_p (r_p[q]/r_p[p])
+    e_p read off for a non-pivot q is nonzero only at q and at pivots p > q.
+    It starts at q and is 0 at every other form's q; scaled by the lcm of
+    its denominators, its entry at q, it has content 1.  So the forms are
+    the kernel's :class:`Subspace` rows, with no second elimination."""
+    m = len(rows)
     columns: dict[int, dict[int, object]] = {}
     for i, row in enumerate(rows):
         for j, x in _entries(row, ncols):
             if not 0 <= j < ncols:
                 raise AmbientMismatchError(f"row {i} has a column outside range({ncols})")
             if x:
-                columns.setdefault(j, {})[i] = x
-    image = Subspace.from_vectors(columns.values(), len(rows))
-    return Subspace.from_vectors(annihilator(image), len(rows))
+                columns.setdefault(j, {})[m - 1 - i] = x
+    forms = annihilator(Subspace.from_vectors(columns.values(), m))
+    kernel = (_integral({m - 1 - i: x for i, x in form.items()})[0] for form in reversed(forms))
+    return Subspace(m, {min(v): v for v in kernel})
 
 
 def apply_rows(

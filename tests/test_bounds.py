@@ -14,7 +14,6 @@ from nlie.algebra import (
     z_term,
 )
 from nlie.bounds import (
-    _gamma_cap,
     _ideal_choices,
     catalog_algebras,
     check_central_tensor_bound,
@@ -29,7 +28,7 @@ from nlie.bounds import (
 )
 from nlie import free_algebra, multiplier
 from nlie.free_algebra import ResourceLimitError, free_nilpotent, graded_dimension
-from nlie.linalg import AmbientMismatchError, Subspace, subspace_intersect, unit_vector
+from nlie.linalg import AmbientMismatchError, Subspace, unit_vector
 
 
 def _sub(alg, vectors):
@@ -265,18 +264,6 @@ def test_central_tensor_variant_follows_the_ideal(label, alg):
         ck = check_central_tensor_bound(alg, ideal, 1, mlabel)
         want = "exploratory" if mlabel == "center" else "oracle"
         assert ck.variant == want, (label, mlabel)
-
-
-@pytest.mark.parametrize("label,alg", CATALOG, ids=[label for label, _ in CATALOG])
-def test_cap_from_the_sum_is_the_intersection_dim(label, alg):
-    """dim(gamma_{c+1}(L) /\\ M), which the checkers read off the sum, is
-    the dimension of the intersection (itself checked against sympy in
-    test_linalg) for every catalog ideal and c <= 2."""
-    for c in (1, 2):
-        gamma = gamma_term(alg, c + 1)
-        for mlabel, ideal in _ideal_choices(alg):
-            want = subspace_intersect(gamma, ideal).dim
-            assert _gamma_cap(alg, ideal, c) == want, (label, mlabel, c)
 
 
 def _wrong_ambient_calls():
